@@ -12,11 +12,9 @@ from .algebra import ALL_RELS, ATOMS, CANONICAL_SYMBOLS, Bound, Rel
 from .closure import (
     ClosureReport,
     ImpliedChange,
-    NeqMode,
     boundedness,
     close,
     equivalent,
-    substitute_neq,
 )
 from .errors import (
     GuardError,
@@ -27,6 +25,7 @@ from .errors import (
 )
 from .format import (
     Constraint,
+    NeqMode,
     SyncSpec,
     interchange_to_matrix,
     matrix_to_interchange,
@@ -35,10 +34,12 @@ from .format import (
     report_to_interchange,
     spec_to_matrix,
     spec_to_text,
+    substitute_neq,
     to_dot,
 )
 from .matrix import (
     ENUMERATION_MAX_EVENTS,
+    LISTING_MAX_EVENTS,
     BoundVector,
     RelGrid,
     SyncMatrix,
@@ -64,6 +65,7 @@ __all__ = [
     "CANONICAL_SYMBOLS",
     "DEFAULT_ASSIGNMENT_CEILING",
     "ENUMERATION_MAX_EVENTS",
+    "LISTING_MAX_EVENTS",
     "Bound",
     "BoundVector",
     "ClosureReport",

@@ -91,15 +91,6 @@ class Rel(enum.IntFlag):
     def excludes_boundary(self) -> bool:
         return not self.includes_boundary
 
-    def class_complement(self) -> "Rel":
-        """Complement taken inside this relation's boundary class.
-
-        Both the boundary-including and the boundary-excluding four-element
-        halves are closed under this operation, and on each half it
-        coincides with converse.
-        """
-        return self.converse()
-
 
 ATOMS = (Rel.LT, Rel.EQ, Rel.GT)
 ALL_RELS = tuple(Rel(code) for code in range(8))

@@ -17,9 +17,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .closure import ClosureReport, NeqMode, close, equivalent
+from .closure import ClosureReport, close, equivalent
 from .errors import SyncAlgebraError
 from .format import (
+    NeqMode,
     matrix_to_interchange,
     parse_spec,
     report_to_interchange,
@@ -34,15 +35,13 @@ EXIT_ERROR = 1
 EXIT_DEADLOCK = 2
 EXIT_DIFFERENT = 3
 
-_NEQ_MODES = {"keep": NeqMode.KEEP, "lt": NeqMode.AS_LT, "gt": NeqMode.AS_GT}
-
 
 def _read_matrix(path: str, neq_as: str) -> SyncMatrix:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SyncAlgebraError(f"cannot read {path}: {exc}") from None
-    return spec_to_matrix(parse_spec(text), _NEQ_MODES[neq_as])
+    return spec_to_matrix(parse_spec(text), NeqMode(neq_as))
 
 
 def render_matrix(matrix: SyncMatrix) -> str:
@@ -82,24 +81,33 @@ def render_report(report: ClosureReport) -> str:
 
 
 def _verify_report(matrix: SyncMatrix, report: ClosureReport) -> None:
-    """Check the closure against exhaustive enumeration; raise on any gap."""
+    """Raise if closure is unsound or misjudges deadlock; note cells looser than exact."""
     grid, satisfiable = minimal_network(matrix)
     if satisfiable == report.deadlocked:
         raise SyncAlgebraError(
             "soundness violation: closure and exhaustive search disagree on deadlock"
         )
-    n = matrix.n
-    for i in range(n):
-        for j in range(n):
-            if i != j and not report.closed.cells[i][j].contains(grid[i][j]):
+    m = report.closed
+    notes = [
+        "verify: closure is sound and gives the same deadlock verdict as "
+        f"exhaustive search over {m.n + 1} time values"
+    ]
+    for i in range(m.n):
+        for j in range(i + 1, m.n):
+            closed, exact = m.cells[i][j], grid[i][j]
+            if not closed.contains(exact):
                 raise SyncAlgebraError(
                     f"soundness violation: closed cell ({i},{j}) excludes a "
                     "realizable ordering"
                 )
-    print(
-        f"verify: closure agrees with exhaustive search over {n + 1} time values",
-        file=sys.stderr,
-    )
+            if closed != exact:
+                notes.append(
+                    f"verify: ({m.labels[i]}, {m.labels[j]}) closed to "
+                    f"{closed.symbol}, exact network has {exact.symbol}"
+                )
+    if len(notes) == 1:
+        notes.append("verify: every closed cell equals the exact network")
+    print("\n".join(notes), file=sys.stderr)
 
 
 def cmd_close(args: argparse.Namespace) -> int:
@@ -135,7 +143,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_equiv(args: argparse.Namespace) -> int:
     p = _read_matrix(args.file, args.neq_as)
     q = _read_matrix(args.other, args.neq_as)
-    same = equivalent(p, q, _NEQ_MODES[args.neq_as])
+    same = equivalent(p, q)
     print("equivalent" if same else "not equivalent")
     return EXIT_OK if same else EXIT_DIFFERENT
 
@@ -183,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_neq(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--neq-as",
-            choices=("keep", "lt", "gt"),
+            choices=[m.value for m in NeqMode],
             default="keep",
             help="how to treat declared != constraints (default: keep)",
         )

@@ -19,30 +19,12 @@ case, comfortably under 3 * n**2 + 1.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import Bound, Rel
 from .errors import ValidationError
 from .matrix import BoundVector, SyncMatrix
-
-
-class NeqMode(enum.Enum):
-    """Treatment of declared exclusions (!=) ahead of closure.
-
-    KEEP takes them at face value.  AS_LT and AS_GT rewrite each declared
-    exclusion into a strict order in the direction it was written, which
-    is how exclusion is resolved on hardware offering only one-sided
-    waits.  The rewrite is direction-sensitive, so it applies to directed
-    declarations; a matrix cell has already forgotten which way the
-    declaration pointed, and for bare matrices the above-diagonal cell is
-    taken as the written direction.
-    """
-
-    KEEP = "keep"
-    AS_LT = "lt"
-    AS_GT = "gt"
 
 
 class ImpliedChange(NamedTuple):
@@ -72,25 +54,6 @@ class ClosureReport:
     iterations: int
 
 
-def substitute_neq(
-    entries: Iterable[tuple[int, int, Rel]],
-    mode: NeqMode,
-) -> list[tuple[int, int, Rel]]:
-    """Apply a NeqMode to directed declarations.
-
-    Only exact exclusion declarations are rewritten; composite cells that
-    merely contain the exclusion's atoms arise from conjunction, not from
-    a written !=, and keep their meaning.
-    """
-    if mode is NeqMode.KEEP:
-        return list(entries)
-    replacement = Rel.LT if mode is NeqMode.AS_LT else Rel.GT
-    return [
-        (i, j, replacement if rel == Rel.NE else rel)
-        for i, j, rel in entries
-    ]
-
-
 def _propagate(cells: list[list[Rel]], pair_order: Sequence[tuple[int, int]] | None = None) -> int:
     """Run the fixpoint in place; returns the number of full passes."""
     n = len(cells)
@@ -114,25 +77,17 @@ def _propagate(cells: list[list[Rel]], pair_order: Sequence[tuple[int, int]] | N
     return passes
 
 
-def close(matrix: SyncMatrix, mode: NeqMode = NeqMode.KEEP) -> ClosureReport:
+def close(matrix: SyncMatrix) -> ClosureReport:
     """Close the matrix and report implications, bounds, and deadlock."""
     cells = [list(row) for row in matrix.cells]
     n = len(cells)
-    if mode is not NeqMode.KEEP:
-        replacement = Rel.LT if mode is NeqMode.AS_LT else Rel.GT
-        for i in range(n):
-            for j in range(i + 1, n):
-                if cells[i][j] == Rel.NE:
-                    cells[i][j] = replacement
-                    cells[j][i] = replacement.converse()
-    start = tuple(tuple(row) for row in cells)
     iterations = _propagate(cells)
     closed = SyncMatrix(matrix.labels, tuple(tuple(row) for row in cells))
     implied = tuple(
-        ImpliedChange(i, j, start[i][j], closed.cells[i][j])
+        ImpliedChange(i, j, matrix.cells[i][j], closed.cells[i][j])
         for i in range(n)
         for j in range(i + 1, n)
-        if closed.cells[i][j] != start[i][j]
+        if closed.cells[i][j] != matrix.cells[i][j]
     )
     deadlock_pairs = tuple(
         (i, j)
@@ -168,7 +123,7 @@ def boundedness(matrix: SyncMatrix) -> BoundVector:
     return BoundVector(tuple(out))
 
 
-def equivalent(p: SyncMatrix, q: SyncMatrix, mode: NeqMode = NeqMode.KEEP) -> bool:
+def equivalent(p: SyncMatrix, q: SyncMatrix) -> bool:
     """True when the two systems imply the same synchronizations.
 
     The matrices must mention the same events; their order may differ,
@@ -182,4 +137,4 @@ def equivalent(p: SyncMatrix, q: SyncMatrix, mode: NeqMode = NeqMode.KEEP) -> bo
         j = aligned.labels.index(name)
         if j != i:
             aligned = aligned.swap_events(i, j)
-    return close(p, mode).closed == close(aligned, mode).closed
+    return close(p).closed == close(aligned).closed

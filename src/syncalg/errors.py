@@ -36,4 +36,4 @@ class InterchangeError(SyncAlgebraError):
 
 
 class GuardError(SyncAlgebraError):
-    """A brute-force enumeration would exceed its configured ceiling."""
+    """A brute-force enumeration or a listing would exceed its configured ceiling."""

@@ -24,12 +24,14 @@ relations.
 
 from __future__ import annotations
 
+import enum
 import json
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .algebra import CANONICAL_SYMBOLS, Rel
-from .closure import ClosureReport, NeqMode, substitute_neq
+from .closure import ClosureReport
 from .errors import InterchangeError, ParseError
 from .matrix import SyncMatrix
 
@@ -112,6 +114,39 @@ def _constraint_shaped(tokens: list[str]) -> bool:
     # "events < done" is a constraint on an event named "events", not a
     # directive; only the token shape can tell the two readings apart.
     return len(tokens) == 3 and tokens[1] in _SYMBOL_SET
+
+
+class NeqMode(enum.Enum):
+    """Treatment of declared exclusions (!=) ahead of closure.
+
+    KEEP takes them at face value.  AS_LT and AS_GT rewrite each declared
+    exclusion into a strict order in the direction it was written, which
+    is how exclusion is resolved on hardware offering only one-sided
+    waits.
+    """
+
+    KEEP = "keep"
+    AS_LT = "lt"
+    AS_GT = "gt"
+
+
+def substitute_neq(
+    entries: Iterable[tuple[int, int, Rel]],
+    mode: NeqMode,
+) -> list[tuple[int, int, Rel]]:
+    """Apply a NeqMode to directed declarations.
+
+    Only exact exclusion declarations are rewritten; composite cells that
+    merely contain the exclusion's atoms arise from conjunction, not from
+    a written !=, and keep their meaning.
+    """
+    if mode is NeqMode.KEEP:
+        return list(entries)
+    replacement = Rel.LT if mode is NeqMode.AS_LT else Rel.GT
+    return [
+        (i, j, replacement if rel == Rel.NE else rel)
+        for i, j, rel in entries
+    ]
 
 
 def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix:

@@ -20,12 +20,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .algebra import ALL_RELS, ATOMS, Bound, Rel
-from .errors import ValidationError
+from .errors import GuardError, ValidationError
 
 RelGrid = tuple[tuple[Rel, ...], ...]
 
 # Full enumeration above four events would mean 8**10 and more matrices.
 ENUMERATION_MAX_EVENTS = 4
+
+# The count and the atom list grow with n too: at 32 events the count
+# has 448 digits and the atoms are 1488 grids of 1024 cells each.
+LISTING_MAX_EVENTS = 32
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -184,6 +188,8 @@ def matrix_count(n: int) -> int:
     """Number of distinct matrices on n events: 8 ** ((n*n - n) / 2)."""
     if n < 1:
         raise ValidationError("a matrix needs at least one event")
+    if n > LISTING_MAX_EVENTS:
+        raise GuardError(f"counting is limited to {LISTING_MAX_EVENTS} events")
     return 8 ** ((n * n - n) // 2)
 
 
@@ -196,6 +202,8 @@ def atom_matrices(n: int) -> list[SyncMatrix]:
     """
     if n < 2:
         raise ValidationError("atoms need at least two events")
+    if n > LISTING_MAX_EVENTS:
+        raise GuardError(f"atom listing is limited to {LISTING_MAX_EVENTS} events")
     labels = default_labels(n)
     out = []
     for i in range(n):

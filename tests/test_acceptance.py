@@ -12,10 +12,11 @@ import random
 import time
 
 from syncalg.algebra import ALL_RELS, Rel
-from syncalg.closure import NeqMode, boundedness, close
+from syncalg.closure import boundedness, close
 from syncalg.cli import main
 from syncalg.errors import ParseError
 from syncalg.format import (
+    NeqMode,
     interchange_to_matrix,
     matrix_to_interchange,
     matrix_to_spec,
@@ -146,7 +147,7 @@ def test_ac05_closure_exhaustive_three_events():
     problems = []
     started = time.perf_counter()
     for m in enumerate_matrices(3):
-        report = close(m, NeqMode.KEEP)
+        report = close(m)
         grid, satisfiable = minimal_network(m)
         if report.deadlocked == satisfiable:
             problems.append(f"deadlock flag wrong for {m.cells}")
@@ -155,7 +156,7 @@ def test_ac05_closure_exhaustive_three_events():
             for j in range(3):
                 if i != j and not report.closed.cells[i][j].contains(grid[i][j]):
                     problems.append(f"unsound cell ({i},{j}) for {m.cells}")
-        again = close(report.closed, NeqMode.KEEP)
+        again = close(report.closed)
         if again.closed != report.closed or again.implied != ():
             problems.append(f"closure not idempotent for {m.cells}")
     elapsed = time.perf_counter() - started
@@ -173,7 +174,7 @@ def test_ac06_closure_exact_on_convex_instances():
     rng = random.Random(20260819)
     for trial in range(1000):
         m = random_matrix(rng, 4, allowed=CONVEX)
-        closed = close(m, NeqMode.KEEP).closed
+        closed = close(m).closed
         grid, _satisfiable = minimal_network(m, domain_size=5)
         for i in range(4):
             for j in range(4):

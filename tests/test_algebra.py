@@ -144,14 +144,14 @@ def test_boundary_classes_partition_the_algebra():
     assert sorted(r.value for r in excluding) == [0, 1, 4, 5]
 
 
-def test_class_complement_stays_in_class_and_involutes():
+def test_converse_stays_in_class_and_involutes():
     for rel in ALL_RELS:
-        other = rel.class_complement()
+        other = rel.converse()
         assert other.includes_boundary == rel.includes_boundary
-        assert other.class_complement() == rel
-    assert Rel.LE.class_complement() == Rel.GE
-    assert Rel.LT.class_complement() == Rel.GT
-    assert Rel.EQ.class_complement() == Rel.EQ
+        assert other.converse() == rel
+    assert Rel.LE.converse() == Rel.GE
+    assert Rel.LT.converse() == Rel.GT
+    assert Rel.EQ.converse() == Rel.EQ
     # Plain complement crosses classes instead.
     assert Rel.LE.complement() == Rel.GT
 

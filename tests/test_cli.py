@@ -62,6 +62,23 @@ def test_close_verify_on_deadlock(write, capsys):
     assert main(["close", path, "--verify"]) == 2
 
 
+def test_close_verify_names_cells_looser_than_the_exact_network(write, capsys):
+    # Path consistency leaves (x, w) at <= although y != z forces one of
+    # the two paths from x to w to be strict (van Beek 1992).
+    path = write("diamond.sync", "x <= y\nx <= z\ny <= w\nz <= w\ny != z\n")
+    assert main(["close", path]) == 0
+    plain = capsys.readouterr().out
+    assert main(["close", path, "--verify"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain
+    assert "sound and gives the same deadlock verdict" in err
+    assert "(x, w) closed to <=, exact network has <" in err
+    assert "every closed cell equals" not in err
+    chain = write("chain.sync", "a > b\nb > c\n")
+    assert main(["close", chain, "--verify"]) == 0
+    assert "every closed cell equals the exact network" in capsys.readouterr().err
+
+
 def test_close_neq_modes(write):
     path = write("neq.sync", "a != b\nb != c\nc != a\n")
     assert main(["close", path]) == 0
@@ -105,6 +122,15 @@ def test_equiv_command(write, capsys):
     assert capsys.readouterr().out.strip() == "not equivalent"
 
 
+def test_equiv_neq_as_applies_to_both_files(write, capsys):
+    neq = write("neq.sync", "a != b\n")
+    lt = write("lt.sync", "a < b\n")
+    assert main(["equiv", neq, lt, "--neq-as", "lt"]) == 0
+    assert main(["equiv", neq, lt, "--neq-as", "keep"]) == 3
+    assert main(["equiv", neq, lt, "--neq-as", "gt"]) == 3
+    capsys.readouterr()
+
+
 def test_equiv_label_mismatch_is_an_error(write, capsys):
     p = write("p.sync", "a > b\n")
     q = write("q.sync", "a > c\n")
@@ -139,6 +165,11 @@ def test_count_command(capsys):
     assert main(["count", "0"]) == 1
 
 
+def test_count_above_the_listing_limit_is_an_error(capsys):
+    assert main(["count", "100"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_dot_command(write, capsys):
     path = write("chain.sync", "a > b\nb > c\n")
     assert main(["dot", path]) == 0
@@ -157,6 +188,13 @@ def test_parse_error_reports_line_and_exits_one(write, capsys):
 def test_missing_file_exits_one(capsys):
     assert main(["close", "/no/such/file.sync"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin.sync"
+    path.write_bytes(b"\xff")
+    assert main(["close", str(path)]) == 1
+    assert f"error: cannot read {path}:" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -5,15 +5,9 @@ import random
 import pytest
 
 from syncalg.algebra import Rel
-from syncalg.closure import (
-    NeqMode,
-    _propagate,
-    boundedness,
-    close,
-    equivalent,
-    substitute_neq,
-)
+from syncalg.closure import _propagate, boundedness, close, equivalent
 from syncalg.errors import ValidationError
+from syncalg.format import NeqMode, substitute_neq
 from syncalg.matrix import SyncMatrix
 from syncalg.oracle import minimal_network
 
@@ -161,20 +155,6 @@ def test_exclusion_cycle_depends_on_declaration_direction():
     assert close(as_lt).deadlocked
     as_gt = SyncMatrix.from_entries(labels, substitute_neq(declared, NeqMode.AS_GT))
     assert close(as_gt).deadlocked
-
-
-def test_close_mode_on_bare_matrix_reads_above_diagonal_direction():
-    # A bare matrix no longer remembers which way each != was declared, so
-    # the mode reads every exclusion as written from the above-diagonal
-    # side.  The cycle a != b, b != c, c != a then turns into the
-    # satisfiable a < b < c with a < c rather than a deadlock.
-    m = SyncMatrix.from_entries(
-        ("a", "b", "c"),
-        [(0, 1, Rel.NE), (1, 2, Rel.NE), (2, 0, Rel.NE)],
-    )
-    report = close(m, NeqMode.AS_LT)
-    assert not report.deadlocked
-    assert report.closed.cells[0][2] == Rel.LT
 
 
 def test_equivalent_ignores_redundant_constraints():

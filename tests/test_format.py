@@ -5,10 +5,11 @@ import json
 import pytest
 
 from syncalg.algebra import Rel
-from syncalg.closure import NeqMode, close
+from syncalg.closure import close
 from syncalg.errors import InterchangeError, ParseError
 from syncalg.format import (
     Constraint,
+    NeqMode,
     interchange_to_matrix,
     matrix_to_interchange,
     matrix_to_spec,

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from syncalg.algebra import ALL_RELS, Rel
-from syncalg.errors import ValidationError
+from syncalg.errors import GuardError, ValidationError
 from syncalg.matrix import (
     ENUMERATION_MAX_EVENTS,
+    LISTING_MAX_EVENTS,
     SyncMatrix,
     atom_matrices,
     default_labels,
@@ -151,6 +152,15 @@ def test_matrix_count():
     assert matrix_count(4) == 8 ** 6
     with pytest.raises(ValidationError):
         matrix_count(0)
+
+
+def test_listing_guard():
+    p = (LISTING_MAX_EVENTS**2 - LISTING_MAX_EVENTS) // 2
+    assert matrix_count(LISTING_MAX_EVENTS) == 8**p
+    with pytest.raises(GuardError):
+        matrix_count(LISTING_MAX_EVENTS + 1)
+    with pytest.raises(GuardError):
+        atom_matrices(LISTING_MAX_EVENTS + 1)
 
 
 def test_enumerate_two_events_covers_all_eight():
