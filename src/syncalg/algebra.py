@@ -62,8 +62,7 @@ class Rel(enum.IntFlag):
 
     def converse(self) -> "Rel":
         """The same relation read from the second event's side (swap LT and GT)."""
-        v = self.value
-        return Rel((v & 2) | ((v & 1) << 2) | ((v & 4) >> 2))
+        return _CONVERSE_REL[self]
 
     def compose(self, other: "Rel") -> "Rel":
         """Relations possible between x and z when x self y and y other z.
@@ -94,6 +93,12 @@ class Rel(enum.IntFlag):
 
 ATOMS = (Rel.LT, Rel.EQ, Rel.GT)
 ALL_RELS = tuple(Rel(code) for code in range(8))
+
+# Indexed by the relation itself (an int); swapping the LT and GT bits is
+# done once here rather than through the flag constructor on every call.
+_CONVERSE_REL = tuple(
+    Rel((v & 2) | ((v & 1) << 2) | ((v & 4) >> 2)) for v in range(8)
+)
 
 _SYMBOL_OF = {
     0: "never",

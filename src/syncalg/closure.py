@@ -15,6 +15,19 @@ small: each of the (n*n - n) / 2 independent cells can only shrink, a
 shrink removes at least one of three atoms, and a full pass with no
 change ends the loop, so 3 * (n*n - n) / 2 + 1 passes bound the worst
 case, comfortably under 3 * n**2 + 1.
+
+This is path consistency (Mackworth 1977), and its inner loop runs
+n**3 times a pass, so ``_propagate`` works on a private grid of plain
+ints (the relation codes 0-7) and writes ``Rel`` cells back once at the
+end.  Composition and converse become lookups in two tables built from
+the ``Rel`` operators at import: ``_THROUGH[a][b]`` is
+``compose(a, converse(b))``, so the pair (i, j) meets row i against row
+j cell by cell, and ``_CONVERSE`` mirrors a narrowed cell.  The scan
+starts from the cell itself and stops once the intersection reaches
+``never``, below which nothing can narrow.  It keeps the middle events
+k == i and k == j: there one side is the diagonal ``any``, and
+composing ``any`` with a relation other than ``never`` gives ``any``,
+which narrows nothing; with ``never`` the cell is already empty.
 """
 
 from __future__ import annotations
@@ -22,9 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .algebra import Bound, Rel
+from .algebra import ALL_RELS, Bound, Rel
 from .errors import ValidationError
 from .matrix import BoundVector, SyncMatrix
+
+
+# Plain-int tables for the kernel: _CONVERSE[r] is r's converse, and
+# _THROUGH[a][b] is what x-to-z may be when x-to-y is a and z-to-y is b.
+_CONVERSE = tuple(r.converse().value for r in ALL_RELS)
+_THROUGH = tuple(
+    tuple(a.compose(b.converse()).value for b in ALL_RELS) for a in ALL_RELS
+)
 
 
 class ImpliedChange(NamedTuple):
@@ -59,21 +80,26 @@ def _propagate(cells: list[list[Rel]], pair_order: Sequence[tuple[int, int]] | N
     n = len(cells)
     if pair_order is None:
         pair_order = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    grid = [[cell.value for cell in row] for row in cells]
+    through_of, converse_of = _THROUGH, _CONVERSE  # locals: read n**3 times per pass
     passes = 0
     changed = True
     while changed:
         changed = False
         passes += 1
         for i, j in pair_order:
-            through = Rel.ANY
-            for k in range(n):
-                if k != i and k != j:
-                    through &= cells[i][k].compose(cells[k][j])
-            narrowed = cells[i][j] & through
-            if narrowed != cells[i][j]:
-                cells[i][j] = narrowed
-                cells[j][i] = narrowed.converse()
+            cell = grid[i][j]
+            through = cell
+            for a, b in zip(grid[i], grid[j]):
+                through &= through_of[a][b]
+                if not through:
+                    break
+            if through != cell:
+                grid[i][j] = through
+                grid[j][i] = converse_of[through]
                 changed = True
+    for row, codes in zip(cells, grid):
+        row[:] = [ALL_RELS[code] for code in codes]
     return passes
 
 
@@ -114,12 +140,12 @@ def boundedness(matrix: SyncMatrix) -> BoundVector:
     relation: unbounded.
     """
     out = []
-    for i in range(matrix.n):
-        acc = Rel.ANY
-        for j in range(matrix.n):
-            if j != i:
-                acc &= matrix.cells[i][j]
-        out.append(Bound(acc))
+    for row in matrix.cells:
+        # The diagonal cell is ANY, so folding it in changes nothing.
+        acc = Rel.ANY.value
+        for cell in row:
+            acc &= cell.value
+        out.append(Bound(ALL_RELS[acc]))
     return BoundVector(tuple(out))
 
 

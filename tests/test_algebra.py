@@ -3,6 +3,7 @@
 import pytest
 
 from syncalg.algebra import ALL_RELS, ATOMS, CANONICAL_SYMBOLS, Bound, Rel
+from syncalg.closure import _CONVERSE, _THROUGH
 from syncalg.errors import ValidationError
 
 # Pinned from exhaustive pair-set enumeration; the table is identical over
@@ -102,6 +103,8 @@ def test_converse_swaps_strict_directions():
     assert Rel.ANY.converse() == Rel.ANY
     for rel in ALL_RELS:
         assert rel.converse().converse() == rel
+        # Callers read .symbol off the result, so the table must hold Rels.
+        assert type(rel.converse()) is Rel
 
 
 @pytest.mark.parametrize("a", ALL_RELS, ids=lambda r: r.symbol)
@@ -129,6 +132,23 @@ def test_composition_through_exclusion_or_full_loses_everything():
         for b in (Rel.LT, Rel.LE, Rel.GT, Rel.GE, Rel.NE, Rel.ANY):
             assert a.compose(b) == Rel.ANY
             assert b.compose(a) == Rel.ANY
+
+
+def test_composition_with_full_is_full_unless_never():
+    # Why the closure kernel may scan the middle events k == i and k == j:
+    # one side of that composition is the diagonal's ANY.
+    for rel in ALL_RELS:
+        if rel != Rel.NEVER:
+            assert Rel.ANY.compose(rel) == Rel.ANY
+            assert rel.compose(Rel.ANY) == Rel.ANY
+
+
+def test_closure_kernel_tables_match_the_operators():
+    for a in ALL_RELS:
+        assert _CONVERSE[a] == a.converse()
+        for b in ALL_RELS:
+            assert _THROUGH[a][b] == a.compose(b.converse())
+            assert type(_THROUGH[a][b]) is int
 
 
 def test_composition_annihilated_by_never():

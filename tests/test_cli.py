@@ -79,6 +79,20 @@ def test_close_verify_names_cells_looser_than_the_exact_network(write, capsys):
     assert "every closed cell equals the exact network" in capsys.readouterr().err
 
 
+def test_close_verify_past_the_oracle_ceiling_skips_the_check(write, capsys):
+    # Eight events need 9**8 assignments, past the exhaustive search's ceiling.
+    path = write("chain8.sync", "".join(f"{a} < {b}\n" for a, b in zip("abcdefg", "bcdefgh")))
+    assert main(["close", path]) == 0
+    plain = capsys.readouterr().out
+    assert main(["close", path, "--verify"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain
+    assert "(a, h): any tightened to <" in out
+    assert err.startswith("verify: skipped: ")
+    assert err.count("\n") == 1
+    assert "error:" not in err
+
+
 def test_close_neq_modes(write):
     path = write("neq.sync", "a != b\nb != c\nc != a\n")
     assert main(["close", path]) == 0

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from syncalg.algebra import Rel
+from syncalg.algebra import ALL_RELS, Rel
 from syncalg.closure import _propagate, boundedness, close, equivalent
 from syncalg.errors import ValidationError
 from syncalg.format import NeqMode, substitute_neq
-from syncalg.matrix import SyncMatrix
-from syncalg.oracle import minimal_network
+from syncalg.matrix import SyncMatrix, default_labels
+from syncalg.oracle import atom_of, minimal_network
 
 from helpers import random_matrix
 
@@ -92,6 +92,74 @@ def test_fixpoint_is_sweep_order_independent():
         shuffled = [list(row) for row in m.cells]
         _propagate(shuffled, pairs)
         assert shuffled == reference
+
+
+def reference_propagate(cells, pair_order=None):
+    """The closure sweep on Rel operators, kept to check the int kernel."""
+    n = len(cells)
+    if pair_order is None:
+        pair_order = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    passes = 0
+    changed = True
+    while changed:
+        changed = False
+        passes += 1
+        for i, j in pair_order:
+            through = Rel.ANY
+            for k in range(n):
+                if k != i and k != j:
+                    through &= cells[i][k].compose(cells[k][j])
+            narrowed = cells[i][j] & through
+            if narrowed != cells[i][j]:
+                cells[i][j] = narrowed
+                cells[j][i] = narrowed.converse()
+                changed = True
+    return passes
+
+
+def planted_matrix(rng, n, density):
+    """A satisfiable matrix: each declared cell holds the planted times' atom."""
+    times = [rng.randrange(n // 2) for _ in range(n)]
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                atom = atom_of(times[i], times[j])
+                rel = rng.choice([r for r in ALL_RELS if r.contains(atom) and r != Rel.ANY])
+                if atom != Rel.EQ and rng.random() < 0.3:
+                    rel = Rel.NE
+                entries.append((i, j, rel))
+    return SyncMatrix.from_entries(default_labels(n), entries)
+
+
+def assert_kernel_matches_reference(m, pair_order=None):
+    expected = [list(row) for row in m.cells]
+    expected_passes = reference_propagate(expected, pair_order)
+    got = [list(row) for row in m.cells]
+    assert _propagate(got, pair_order) == expected_passes
+    assert got == expected
+    assert all(type(cell) is Rel for row in got for cell in row)
+
+
+def test_int_kernel_matches_the_rel_sweep_on_random_matrices():
+    rng = random.Random(21)
+    sparse = ALL_RELS + (Rel.ANY,) * 24
+    for trial in range(320):
+        n = rng.randrange(2, 13)
+        m = random_matrix(rng, n, ALL_RELS if trial % 2 else sparse)
+        pairs = None
+        if trial % 5 == 0:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            rng.shuffle(pairs)
+        assert_kernel_matches_reference(m, pairs)
+
+
+def test_int_kernel_matches_the_rel_sweep_on_planted_systems():
+    rng = random.Random(23)
+    for _ in range(3):
+        m = planted_matrix(rng, 40, rng.uniform(0.1, 0.3))
+        assert_kernel_matches_reference(m)
+        assert not close(m).deadlocked
 
 
 def test_deadlock_agrees_with_exhaustive_search():
