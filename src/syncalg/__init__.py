@@ -40,7 +40,6 @@ from .format import (
 from .matrix import (
     ENUMERATION_MAX_EVENTS,
     LISTING_MAX_EVENTS,
-    BoundVector,
     RelGrid,
     SyncMatrix,
     atom_matrices,
@@ -67,7 +66,6 @@ __all__ = [
     "ENUMERATION_MAX_EVENTS",
     "LISTING_MAX_EVENTS",
     "Bound",
-    "BoundVector",
     "ClosureReport",
     "Constraint",
     "GuardError",

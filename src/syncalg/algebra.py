@@ -45,13 +45,13 @@ class Rel(enum.IntFlag):
     @property
     def symbol(self) -> str:
         """Canonical textual form, stable across all output formats."""
-        return _SYMBOL_OF[self.value]
+        return CANONICAL_SYMBOLS[self]
 
     @classmethod
     def from_symbol(cls, text: str) -> "Rel":
         try:
             return _REL_OF_SYMBOL[text]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown relation symbol {text!r}") from None
 
     def complement(self) -> "Rel":
@@ -100,19 +100,9 @@ _CONVERSE_REL = tuple(
     Rel((v & 2) | ((v & 1) << 2) | ((v & 4) >> 2)) for v in range(8)
 )
 
-_SYMBOL_OF = {
-    0: "never",
-    1: "<",
-    2: "=",
-    3: "<=",
-    4: ">",
-    5: "!=",
-    6: ">=",
-    7: "any",
-}
-_REL_OF_SYMBOL = {sym: Rel(code) for code, sym in _SYMBOL_OF.items()}
-
-CANONICAL_SYMBOLS = tuple(_SYMBOL_OF[code] for code in range(8))
+# Indexed by the relation code, like ALL_RELS.
+CANONICAL_SYMBOLS = ("never", "<", "=", "<=", ">", "!=", ">=", "any")
+_REL_OF_SYMBOL = dict(zip(CANONICAL_SYMBOLS, ALL_RELS))
 
 # Transmission of atomic relations through a shared middle event.  The
 # composite table below is forced from these nine cases by distributing

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 from .algebra import ALL_RELS, Bound, Rel
 from .errors import ValidationError
-from .matrix import BoundVector, SyncMatrix
+from .matrix import SyncMatrix
 
 
 # Plain-int tables for the kernel: _CONVERSE[r] is r's converse, and
@@ -68,7 +68,7 @@ class ClosureReport:
     """
 
     closed: SyncMatrix
-    bounds: BoundVector
+    bounds: tuple[Bound, ...]
     deadlocked: bool
     deadlock_pairs: tuple[tuple[int, int], ...]
     implied: tuple[ImpliedChange, ...]
@@ -108,7 +108,7 @@ def close(matrix: SyncMatrix) -> ClosureReport:
     cells = [list(row) for row in matrix.cells]
     n = len(cells)
     iterations = _propagate(cells)
-    closed = SyncMatrix(matrix.labels, tuple(tuple(row) for row in cells))
+    closed = SyncMatrix(matrix.labels, cells)
     implied = tuple(
         ImpliedChange(i, j, matrix.cells[i][j], closed.cells[i][j])
         for i in range(n)
@@ -131,7 +131,7 @@ def close(matrix: SyncMatrix) -> ClosureReport:
     )
 
 
-def boundedness(matrix: SyncMatrix) -> BoundVector:
+def boundedness(matrix: SyncMatrix) -> tuple[Bound, ...]:
     """Each event's bound: the intersection of its row off the diagonal.
 
     Meaningful on a closed matrix, where every implied constraint has
@@ -146,21 +146,17 @@ def boundedness(matrix: SyncMatrix) -> BoundVector:
         for cell in row:
             acc &= cell.value
         out.append(Bound(ALL_RELS[acc]))
-    return BoundVector(tuple(out))
+    return tuple(out)
 
 
 def equivalent(p: SyncMatrix, q: SyncMatrix) -> bool:
     """True when the two systems imply the same synchronizations.
 
     The matrices must mention the same events; their order may differ,
-    and q is realigned to p's order by event swaps before comparing the
-    closures.
+    and q is realigned to p's order by one permutation before comparing
+    the closures.
     """
     if sorted(p.labels) != sorted(q.labels):
         raise ValidationError("matrices constrain different event sets")
-    aligned = q
-    for i, name in enumerate(p.labels):
-        j = aligned.labels.index(name)
-        if j != i:
-            aligned = aligned.swap_events(i, j)
+    aligned = q._reordered([q.index_of(name) for name in p.labels])
     return close(p).closed == close(aligned).closed

@@ -32,11 +32,10 @@ from typing import Iterable
 
 from .algebra import CANONICAL_SYMBOLS, Rel
 from .closure import ClosureReport
-from .errors import InterchangeError, ParseError
+from .errors import InterchangeError, ParseError, ValidationError
 from .matrix import SyncMatrix
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_SYMBOL_SET = frozenset(CANONICAL_SYMBOLS)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def parse_spec(text: str) -> SyncSpec:
             raise ParseError(lineno, f"invalid event name {lhs!r}")
         if not _NAME_RE.match(rhs):
             raise ParseError(lineno, f"invalid event name {rhs!r}")
-        if op not in _SYMBOL_SET:
+        if op not in CANONICAL_SYMBOLS:
             raise ParseError(lineno, f"unknown relation symbol {op!r}")
         if lhs == rhs:
             raise ParseError(lineno, f"event {lhs!r} cannot be synchronized with itself")
@@ -113,7 +112,7 @@ def parse_spec(text: str) -> SyncSpec:
 def _constraint_shaped(tokens: list[str]) -> bool:
     # "events < done" is a constraint on an event named "events", not a
     # directive; only the token shape can tell the two readings apart.
-    return len(tokens) == 3 and tokens[1] in _SYMBOL_SET
+    return len(tokens) == 3 and tokens[1] in CANONICAL_SYMBOLS
 
 
 class NeqMode(enum.Enum):
@@ -254,19 +253,14 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
         raise InterchangeError("matrix", "missing")
     if not isinstance(rows, list) or len(rows) != n:
         raise InterchangeError("matrix", f"must be a list of {n} rows")
-    cells = []
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise InterchangeError("matrix", f"every row must hold {n} symbols")
-        out_row = []
-        for sym in row:
-            if not isinstance(sym, str) or sym not in _SYMBOL_SET:
-                raise InterchangeError("matrix", f"invalid relation symbol {sym!r}")
-            out_row.append(Rel.from_symbol(sym))
-        cells.append(tuple(out_row))
     try:
-        return SyncMatrix(tuple(events), tuple(cells))
-    except Exception as exc:
+        # Lazy rows: the constructor builds the tuple grid without a
+        # second n-by-n list beside the decoded document.
+        return SyncMatrix(events, (map(Rel.from_symbol, row) for row in rows))
+    except ValidationError as exc:
         raise InterchangeError("matrix", str(exc)) from None
 
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .algebra import ALL_RELS, ATOMS, Bound, Rel
+from .algebra import ALL_RELS, ATOMS, Rel
 from .errors import GuardError, ValidationError
 
 RelGrid = tuple[tuple[Rel, ...], ...]
@@ -38,7 +38,11 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SyncMatrix:
-    """Pairwise relation grid plus the event names indexing it."""
+    """Pairwise relation grid plus the event names indexing it.
+
+    Labels and rows may be given as any sequences: the constructor stores
+    them as tuples and is the one place the invariants are checked.
+    """
 
     labels: tuple[str, ...]
     cells: RelGrid
@@ -76,7 +80,7 @@ class SyncMatrix:
     def unconstrained(cls, labels: Iterable[str]) -> "SyncMatrix":
         labels = tuple(labels)
         n = len(labels)
-        return cls(labels, tuple(tuple(Rel.ANY for _ in range(n)) for _ in range(n)))
+        return cls(labels, [[Rel.ANY] * n for _ in range(n)])
 
     @classmethod
     def from_entries(
@@ -91,8 +95,6 @@ class SyncMatrix:
         """
         labels = tuple(labels)
         n = len(labels)
-        if len(set(labels)) != n or n < 1:
-            raise ValidationError("event labels must be distinct and nonempty")
         grid = [[Rel.ANY] * n for _ in range(n)]
         for i, j, rel in entries:
             if not (0 <= i < n and 0 <= j < n):
@@ -103,7 +105,7 @@ class SyncMatrix:
                 raise ValidationError(f"entry relation {rel!r} is not a relation")
             grid[i][j] &= rel
             grid[j][i] &= rel.converse()
-        return cls(labels, tuple(tuple(row) for row in grid))
+        return cls(labels, grid)
 
     def index_of(self, name: str) -> int:
         try:
@@ -125,20 +127,14 @@ class SyncMatrix:
         self._check_peer(other)
         return SyncMatrix(
             self.labels,
-            tuple(
-                tuple(a | b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.cells, other.cells)
-            ),
+            [[a | b for a, b in zip(ra, rb)] for ra, rb in zip(self.cells, other.cells)],
         )
 
     def intersect(self, other: "SyncMatrix") -> "SyncMatrix":
         self._check_peer(other)
         return SyncMatrix(
             self.labels,
-            tuple(
-                tuple(a & b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.cells, other.cells)
-            ),
+            [[a & b for a, b in zip(ra, rb)] for ra, rb in zip(self.cells, other.cells)],
         )
 
     __or__ = union
@@ -146,10 +142,7 @@ class SyncMatrix:
 
     def converse(self) -> "SyncMatrix":
         """Cell-wise converse; by antisymmetry this equals the transpose."""
-        return SyncMatrix(
-            self.labels,
-            tuple(tuple(c.converse() for c in row) for row in self.cells),
-        )
+        return SyncMatrix(self.labels, [[c.converse() for c in row] for row in self.cells])
 
     def complement_cells(self) -> RelGrid:
         """Cell-wise complement, as a raw grid: the diagonal becomes NEVER."""
@@ -162,26 +155,15 @@ class SyncMatrix:
             raise ValidationError(f"event pair ({i},{j}) out of range for {n} events")
         order = list(range(n))
         order[i], order[j] = order[j], order[i]
+        return self._reordered(order)
+
+    def _reordered(self, order: list[int]) -> "SyncMatrix":
+        """Event order[k] of this matrix becomes event k of the result."""
+        cells = self.cells
         return SyncMatrix(
-            tuple(self.labels[a] for a in order),
-            tuple(tuple(self.cells[a][b] for b in order) for a in order),
+            [self.labels[a] for a in order],
+            [[cells[a][b] for b in order] for a in order],
         )
-
-
-@dataclass(frozen=True)
-class BoundVector:
-    """Per-event boundedness, aligned with a matrix's label order."""
-
-    bounds: tuple[Bound, ...]
-
-    def __len__(self) -> int:
-        return len(self.bounds)
-
-    def __iter__(self):
-        return iter(self.bounds)
-
-    def __getitem__(self, k: int) -> Bound:
-        return self.bounds[k]
 
 
 def matrix_count(n: int) -> int:
@@ -215,7 +197,7 @@ def atom_matrices(n: int) -> list[SyncMatrix]:
                 ]
                 grid[i][j] = atom
                 grid[j][i] = atom.converse()
-                out.append(SyncMatrix(labels, tuple(tuple(row) for row in grid)))
+                out.append(SyncMatrix(labels, grid))
     return out
 
 
@@ -240,4 +222,4 @@ def _enumerate(n: int) -> Iterator[SyncMatrix]:
         for (i, j), rel in zip(slots, combo):
             grid[i][j] = rel
             grid[j][i] = rel.converse()
-        yield SyncMatrix(labels, tuple(tuple(row) for row in grid))
+        yield SyncMatrix(labels, grid)

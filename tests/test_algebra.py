@@ -72,6 +72,11 @@ def test_unknown_symbol_rejected():
         Rel.from_symbol("==")
 
 
+def test_unhashable_symbol_rejected():
+    with pytest.raises(ValidationError):
+        Rel.from_symbol([])
+
+
 def test_atoms():
     assert ATOMS == (Rel.LT, Rel.EQ, Rel.GT)
     assert Rel.NEVER.atoms() == ()

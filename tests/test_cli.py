@@ -108,6 +108,12 @@ def test_empty_spec_with_directive(write, capsys):
     assert "implied: none" in out
 
 
+def test_comment_only_file_names_the_missing_events(write, capsys):
+    path = write("empty.sync", "# nothing declared yet\n\n")
+    assert main(["close", path]) == 1
+    assert capsys.readouterr().err == "error: a matrix needs at least one event\n"
+
+
 def test_deadlock_command(write, capsys):
     yes = write("cycle.sync", "a > b\nb > c\nc > a\n")
     no = write("chain.sync", "a > b\nb > c\n")

@@ -239,6 +239,14 @@ def test_equivalent_handles_reordered_labels():
     q = SyncMatrix.from_entries(("c", "a", "b"), [(1, 2, Rel.LT), (2, 0, Rel.LT)])
     assert equivalent(p, q)
 
+    labels = ("a", "b", "c", "d", "e", "f")
+    entries = [(0, 1, Rel.LT), (1, 2, Rel.LE), (2, 3, Rel.NE), (3, 4, Rel.LT), (4, 5, Rel.EQ)]
+    p = SyncMatrix.from_entries(labels, entries)
+    flipped = [(5 - i, 5 - j, rel) for i, j, rel in entries]
+    assert equivalent(p, SyncMatrix.from_entries(labels[::-1], flipped))
+    flipped[0] = (5, 4, Rel.LE)
+    assert not equivalent(p, SyncMatrix.from_entries(labels[::-1], flipped))
+
 
 def test_equivalent_detects_difference():
     p = SyncMatrix.from_entries(("a", "b"), [(0, 1, Rel.LT)])

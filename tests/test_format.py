@@ -159,6 +159,8 @@ def test_report_interchange_reads_back_as_the_closed_matrix():
         ('{"events": ["a", "b"], "matrix": [["any", "<"]]}', "matrix"),
         ('{"events": ["a", "b"], "matrix": [["any"], ["any"]]}', "matrix"),
         ('{"events": ["a", "b"], "matrix": [["any", "<<"], ["any", "any"]]}', "matrix"),
+        ('{"events": ["a", "b"], "matrix": [["any", 1], [">", "any"]]}', "matrix"),
+        ('{"events": ["a", "b"], "matrix": [["any", ["<"]], [">", "any"]]}', "matrix"),
         ('{"events": ["a", "b"], "matrix": [["any", "<"], ["<", "any"]]}', "matrix"),
         ('{"events": ["a", "b"], "matrix": [["=", "<"], [">", "="]]}', "matrix"),
     ],
