@@ -96,9 +96,11 @@ ALL_RELS = tuple(Rel(code) for code in range(8))
 
 # Indexed by the relation itself (an int); swapping the LT and GT bits is
 # done once here rather than through the flag constructor on every call.
+# _CONVERSE is the same map on plain int codes.
 _CONVERSE_REL = tuple(
     Rel((v & 2) | ((v & 1) << 2) | ((v & 4) >> 2)) for v in range(8)
 )
+_CONVERSE = tuple(r.value for r in _CONVERSE_REL)
 
 # Indexed by the relation code, like ALL_RELS.
 CANONICAL_SYMBOLS = ("never", "<", "=", "<=", ">", "!=", ">=", "any")

@@ -17,6 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .algebra import CANONICAL_SYMBOLS
 from .closure import ClosureReport, close, equivalent
 from .errors import GuardError, SyncAlgebraError
 from .format import (
@@ -51,9 +52,10 @@ def render_matrix(matrix: SyncMatrix) -> str:
     def pad(text: str) -> str:
         return text.rjust(width)
 
+    padded = tuple(map(pad, CANONICAL_SYMBOLS))
     lines = ["  ".join([pad("")] + [pad(name) for name in matrix.labels])]
     for name, row in zip(matrix.labels, matrix.cells):
-        lines.append("  ".join([pad(name)] + [pad(cell.symbol) for cell in row]))
+        lines.append("  ".join([pad(name), *map(padded.__getitem__, row)]))
     return "\n".join(lines)
 
 

@@ -35,14 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .algebra import ALL_RELS, Bound, Rel
+from .algebra import _CONVERSE, ALL_RELS, Bound, Rel
 from .errors import ValidationError
 from .matrix import SyncMatrix
 
 
-# Plain-int tables for the kernel: _CONVERSE[r] is r's converse, and
-# _THROUGH[a][b] is what x-to-z may be when x-to-y is a and z-to-y is b.
-_CONVERSE = tuple(r.converse().value for r in ALL_RELS)
+# Plain-int tables for the kernel: _CONVERSE[r] (from algebra) is r's
+# converse, and _THROUGH[a][b] is what x-to-z may be when x-to-y is a and
+# z-to-y is b.
 _THROUGH = tuple(
     tuple(a.compose(b.converse()).value for b in ALL_RELS) for a in ALL_RELS
 )

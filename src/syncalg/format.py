@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import CANONICAL_SYMBOLS, Rel
+from .algebra import _REL_OF_SYMBOL, CANONICAL_SYMBOLS, Rel
 from .closure import ClosureReport
 from .errors import InterchangeError, ParseError, ValidationError
 from .matrix import SyncMatrix
@@ -94,9 +94,10 @@ def parse_spec(text: str) -> SyncSpec:
         if len(tokens) != 3:
             raise ParseError(lineno, "expected '<name> <relop> <name>'")
         lhs, op, rhs = tokens
-        if not _NAME_RE.match(lhs):
+        # Every name in known already matched _NAME_RE.
+        if lhs not in known and not _NAME_RE.match(lhs):
             raise ParseError(lineno, f"invalid event name {lhs!r}")
-        if not _NAME_RE.match(rhs):
+        if rhs not in known and not _NAME_RE.match(rhs):
             raise ParseError(lineno, f"invalid event name {rhs!r}")
         if op not in CANONICAL_SYMBOLS:
             raise ParseError(lineno, f"unknown relation symbol {op!r}")
@@ -188,7 +189,7 @@ def matrix_to_interchange(matrix: SyncMatrix) -> str:
     """JSON document for a bare matrix: events plus the symbol grid."""
     doc = {
         "events": list(matrix.labels),
-        "matrix": [[cell.symbol for cell in row] for row in matrix.cells],
+        "matrix": [list(map(CANONICAL_SYMBOLS.__getitem__, row)) for row in matrix.cells],
     }
     return json.dumps(doc)
 
@@ -202,7 +203,7 @@ def report_to_interchange(report: ClosureReport) -> str:
     m = report.closed
     doc = {
         "events": list(m.labels),
-        "matrix": [[cell.symbol for cell in row] for row in m.cells],
+        "matrix": [list(map(CANONICAL_SYMBOLS.__getitem__, row)) for row in m.cells],
         "bounds": [bound.symbol for bound in report.bounds],
         "deadlock": report.deadlocked,
         "deadlock_pairs": [
@@ -259,9 +260,17 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
     try:
         # Lazy rows: the constructor builds the tuple grid without a
         # second n-by-n list beside the decoded document.
-        return SyncMatrix(events, (map(Rel.from_symbol, row) for row in rows))
+        return SyncMatrix(events, map(_relations, rows))
     except ValidationError as exc:
         raise InterchangeError("matrix", str(exc)) from None
+
+
+def _relations(row: list) -> tuple[Rel, ...]:
+    try:
+        return tuple(map(_REL_OF_SYMBOL.__getitem__, row))
+    except (KeyError, TypeError):
+        # Redo the row symbol by symbol for the error naming the bad one.
+        return tuple(map(Rel.from_symbol, row))
 
 
 def to_dot(report: ClosureReport) -> str:

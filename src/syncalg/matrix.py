@@ -11,6 +11,12 @@ matrices on a fixed label list.
 The grid type is deliberately dumb: tuples of tuples of :class:`Rel`.
 Element-wise complement leaves the invariants (it destroys the diagonal),
 so it returns a raw grid rather than a matrix.
+
+The constructor checks the invariants row by row, not cell by cell: the
+grid is copied once into a ``bytes`` string of relation codes, each of
+which must be below 8, the diagonal is one stride slice of it, and row
+i, mapped through a converse translation table, must equal column i.  Only a grid that fails those
+row checks is scanned cell by cell, to name the first faulty cell.
 """
 
 from __future__ import annotations
@@ -19,10 +25,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .algebra import ALL_RELS, ATOMS, Rel
+from .algebra import _CONVERSE, ALL_RELS, ATOMS, Rel
 from .errors import GuardError, ValidationError
 
 RelGrid = tuple[tuple[Rel, ...], ...]
+
+# The eight relation codes, and the converse map as a bytes.translate
+# table (which must have 256 entries; the row check rejects any grid with
+# a code from 8 up before the table is read).
+_CODES = bytes(range(8))
+_CONVERSE_BYTES = bytes(_CONVERSE) + bytes(range(8, 256))
 
 # Full enumeration above four events would mean 8**10 and more matrices.
 ENUMERATION_MAX_EVENTS = 4
@@ -48,29 +60,27 @@ class SyncMatrix:
     cells: RelGrid
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        cells = tuple(tuple(row) for row in self.cells)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "cells", cells)
+        try:
+            labels = tuple(self.labels)
+        except TypeError:
+            raise ValidationError("event labels must be a sequence of strings") from None
         n = len(labels)
         if n < 1:
             raise ValidationError("a matrix needs at least one event")
+        if not all(isinstance(name, str) for name in labels):
+            raise ValidationError("event labels must be a sequence of strings")
         if len(set(labels)) != n:
             raise ValidationError("event labels must be distinct")
+        try:
+            cells = tuple(map(tuple, self.cells))
+        except TypeError:
+            raise ValidationError(f"cell grid must be {n}x{n}") from None
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cells", cells)
         if len(cells) != n or any(len(row) != n for row in cells):
             raise ValidationError(f"cell grid must be {n}x{n}")
-        for row in cells:
-            for cell in row:
-                if not isinstance(cell, Rel):
-                    raise ValidationError(f"cell {cell!r} is not a relation")
-        for i in range(n):
-            if cells[i][i] != Rel.ANY:
-                raise ValidationError("diagonal cells must be the full relation")
-            for j in range(i + 1, n):
-                if cells[j][i] != cells[i][j].converse():
-                    raise ValidationError(
-                        f"cells ({i},{j}) and ({j},{i}) are not converses"
-                    )
+        if not _invariants_hold(cells):
+            _check_cells(cells)  # names the first fault
 
     @property
     def n(self) -> int:
@@ -95,7 +105,7 @@ class SyncMatrix:
         """
         labels = tuple(labels)
         n = len(labels)
-        grid = [[Rel.ANY] * n for _ in range(n)]
+        grid = [[Rel.ANY.value] * n for _ in range(n)]
         for i, j, rel in entries:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValidationError(f"event index ({i},{j}) out of range for {n} events")
@@ -103,9 +113,10 @@ class SyncMatrix:
                 raise ValidationError(f"event {labels[i]!r} cannot constrain itself")
             if not isinstance(rel, Rel):
                 raise ValidationError(f"entry relation {rel!r} is not a relation")
-            grid[i][j] &= rel
-            grid[j][i] &= rel.converse()
-        return cls(labels, grid)
+            code = int(rel)
+            grid[i][j] &= code
+            grid[j][i] &= _CONVERSE[code]
+        return cls(labels, [tuple(map(ALL_RELS.__getitem__, row)) for row in grid])
 
     def index_of(self, name: str) -> int:
         try:
@@ -159,11 +170,50 @@ class SyncMatrix:
 
     def _reordered(self, order: list[int]) -> "SyncMatrix":
         """Event order[k] of this matrix becomes event k of the result."""
-        cells = self.cells
-        return SyncMatrix(
-            [self.labels[a] for a in order],
-            [[cells[a][b] for b in order] for a in order],
+
+        def pick(seq):
+            return tuple(map(seq.__getitem__, order))
+
+        return SyncMatrix(pick(self.labels), [pick(row) for row in pick(self.cells)])
+
+
+def _invariants_hold(cells: RelGrid) -> bool:
+    """Row-level check of a square grid: every cell is one of the eight
+    relations, the diagonal is full and cell (j, i) is the converse of
+    cell (i, j)."""
+    if not all(set(map(type, row)) == {Rel} for row in cells):
+        return False
+    try:
+        codes = b"".join(map(bytes, cells))
+    except ValueError:  # a Rel code from 256 up
+        return False
+    n = len(cells)
+    return (
+        not codes.translate(None, _CODES)  # deleting the eight codes leaves nothing
+        and codes[:: n + 1] == bytes([Rel.ANY]) * n
+        and all(
+            codes[i * n : i * n + n].translate(_CONVERSE_BYTES) == codes[i::n]
+            for i in range(n)
         )
+    )
+
+
+def _check_cells(cells: RelGrid) -> None:
+    """Cell-by-cell invariant check on a square grid; raises on the first fault.
+
+    Faults are reported in scan order: any non-relation cell first, then
+    row by row the diagonal cell followed by that row's converse pairs.
+    """
+    for row in cells:
+        for cell in row:
+            if not isinstance(cell, Rel) or cell not in ALL_RELS:
+                raise ValidationError(f"cell {cell!r} is not a relation")
+    for i in range(len(cells)):
+        if cells[i][i] != Rel.ANY:
+            raise ValidationError("diagonal cells must be the full relation")
+        for j in range(i + 1, len(cells)):
+            if cells[j][i] != cells[i][j].converse():
+                raise ValidationError(f"cells ({i},{j}) and ({j},{i}) are not converses")
 
 
 def matrix_count(n: int) -> int:

@@ -148,6 +148,12 @@ def test_composition_with_full_is_full_unless_never():
             assert rel.compose(Rel.ANY) == Rel.ANY
 
 
+def test_complement_is_a_relation_with_the_other_atoms():
+    for rel in ALL_RELS:
+        assert type(rel.complement()) is Rel
+        assert rel.complement().value == rel.value ^ 7
+
+
 def test_closure_kernel_tables_match_the_operators():
     for a in ALL_RELS:
         assert _CONVERSE[a] == a.converse()

@@ -254,6 +254,13 @@ def test_equivalent_detects_difference():
     assert not equivalent(p, q)
 
 
+def test_equivalent_on_one_event():
+    solo = SyncMatrix.unconstrained(("a",))
+    assert equivalent(solo, SyncMatrix(["a"], [[Rel.ANY]]))
+    with pytest.raises(ValidationError):
+        equivalent(solo, SyncMatrix.unconstrained(("b",)))
+
+
 def test_equivalent_requires_same_event_set():
     p = SyncMatrix.unconstrained(("a", "b"))
     q = SyncMatrix.unconstrained(("a", "c"))

@@ -171,6 +171,18 @@ def test_interchange_schema_errors_name_the_key(text, key):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("symbol", ['"<<"', "1", '["<"]', "null", "true"])
+def test_interchange_names_the_first_bad_symbol(symbol):
+    text = (
+        '{"events": ["a", "b", "c"], "matrix": [["any", "<", "<"], '
+        f'[">", "any", {symbol}], [">", "?", "any"]]}}'
+    )
+    with pytest.raises(InterchangeError) as err:
+        interchange_to_matrix(text)
+    shown = repr(json.loads(symbol))
+    assert str(err.value) == f"key 'matrix': unknown relation symbol {shown}"
+
+
 def test_interchange_ignores_unknown_keys():
     text = '{"events": ["a"], "matrix": [["any"]], "notes": "kept out"}'
     assert interchange_to_matrix(text).labels == ("a",)

@@ -1,6 +1,7 @@
 """Unit tests for synchronization matrices."""
 
 import random
+import re
 
 import pytest
 
@@ -222,3 +223,122 @@ def test_every_matrix_is_the_union_of_its_atoms():
 
 def test_default_labels():
     assert default_labels(3) == ("e1", "e2", "e3")
+
+
+@pytest.mark.parametrize(
+    "labels,cells",
+    [
+        (("a", ["b"]), ((Rel.ANY, Rel.ANY), (Rel.ANY, Rel.ANY))),
+        ((1, 2), ((Rel.ANY, Rel.ANY), (Rel.ANY, Rel.ANY))),
+        (None, ((Rel.ANY,),)),
+        (("a",), None),
+        (("a", "b"), ((Rel.ANY, Rel.ANY), 5)),
+        (("a", "b"), ((Rel.ANY, Rel(8)), (Rel(8), Rel.ANY))),
+    ],
+)
+def test_constructor_rejects_malformed_labels_and_grids(labels, cells):
+    with pytest.raises(ValidationError):
+        SyncMatrix(labels, cells)
+
+
+@pytest.mark.parametrize("code", [8, 255, 256, 300])
+def test_out_of_range_flag_values_are_not_relations(code):
+    # IntFlag keeps unknown bits, so Rel(code) is a Rel but none of the eight.
+    bad = Rel(code)
+    with pytest.raises(ValidationError, match=re.escape(f"cell {bad!r} is not a relation")):
+        SyncMatrix(("a", "b"), ((Rel.ANY, bad), (bad, Rel.ANY)))
+    with pytest.raises(ValidationError, match=re.escape(f"cell {bad!r} is not a relation")):
+        SyncMatrix(("a",), ((bad,),))
+
+
+def _reference_check(cells):
+    """The constructor's checks cell by cell, in their historical order."""
+    for row in cells:
+        for cell in row:
+            if not isinstance(cell, Rel):
+                raise ValidationError(f"cell {cell!r} is not a relation")
+    n = len(cells)
+    for i in range(n):
+        if cells[i][i] != Rel.ANY:
+            raise ValidationError("diagonal cells must be the full relation")
+        for j in range(i + 1, n):
+            if cells[j][i] != cells[i][j].converse():
+                raise ValidationError(f"cells ({i},{j}) and ({j},{i}) are not converses")
+
+
+def _faulty_grid(rng, n):
+    grid = [list(row) for row in random_matrix(rng, n).cells]
+    for _ in range(rng.randrange(3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            grid[i][j] = rng.choice([7, True, None, "<"])
+        elif kind == 1:
+            grid[i][i] = rng.choice(ALL_RELS[:7])
+        elif n > 1:
+            # A converse fault anywhere, most of them far from (0, 1).
+            if i == j:
+                j = (i + 1) % n
+            grid[i][j] = rng.choice([r for r in ALL_RELS if r != grid[i][j]])
+    return grid
+
+
+def test_constructor_agrees_with_the_cellwise_reference():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randrange(1, 13)
+        grid = _faulty_grid(rng, n)
+        try:
+            _reference_check(grid)
+            expected = None
+        except ValidationError as exc:
+            expected = str(exc)
+        try:
+            m = SyncMatrix(default_labels(n), grid)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected, (n, grid)
+        if got is None:
+            assert m.cells == tuple(map(tuple, grid))
+        outcomes.add(expected.split(" ")[0] if expected else None)
+    # Every kind of verdict was drawn: valid, bad cell, diagonal, converse.
+    assert outcomes == {None, "cell", "diagonal", "cells"}
+
+
+def test_constructor_reports_the_diagonal_between_converse_rows():
+    # Row 1's diagonal is scanned after row 0's converse pairs and before
+    # row 1's, so each fault below is the one reported.
+    grid = [[Rel.ANY] * 3 for _ in range(3)]
+    grid[1][1] = Rel.EQ
+    grid[1][2] = Rel.LT
+    with pytest.raises(ValidationError, match="diagonal"):
+        SyncMatrix(default_labels(3), grid)
+    grid[0][2] = Rel.LT
+    with pytest.raises(ValidationError, match=r"\(0,2\)"):
+        SyncMatrix(default_labels(3), grid)
+
+
+def test_from_entries_agrees_with_rel_level_conjunction():
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randrange(2, 9)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        entries = [
+            (*rng.choice(pairs), rng.choice(ALL_RELS))
+            for _ in range(rng.randrange(3 * n))
+        ]
+        entries += entries[: rng.randrange(len(entries) + 1)]  # repeats
+        expected = [[Rel.ANY] * n for _ in range(n)]
+        for i, j, rel in entries:
+            expected[i][j] &= rel
+            expected[j][i] &= rel.converse()
+        m = SyncMatrix.from_entries(default_labels(n), entries)
+        assert m.cells == tuple(map(tuple, expected))
+        assert all(type(cell) is Rel for row in m.cells for cell in row)
+
+
+def test_one_event_matrix_swaps_with_itself():
+    m = SyncMatrix(("solo",), ((Rel.ANY,),))
+    assert m.swap_events(0, 0) == m
