@@ -62,7 +62,7 @@ class Rel(enum.IntFlag):
 
     def converse(self) -> "Rel":
         """The same relation read from the second event's side (swap LT and GT)."""
-        return _CONVERSE_REL[self]
+        return ALL_RELS[_CONVERSE[self]]
 
     def compose(self, other: "Rel") -> "Rel":
         """Relations possible between x and z when x self y and y other z.
@@ -94,13 +94,10 @@ class Rel(enum.IntFlag):
 ATOMS = (Rel.LT, Rel.EQ, Rel.GT)
 ALL_RELS = tuple(Rel(code) for code in range(8))
 
-# Indexed by the relation itself (an int); swapping the LT and GT bits is
-# done once here rather than through the flag constructor on every call.
-# _CONVERSE is the same map on plain int codes.
-_CONVERSE_REL = tuple(
-    Rel((v & 2) | ((v & 1) << 2) | ((v & 4) >> 2)) for v in range(8)
-)
-_CONVERSE = tuple(r.value for r in _CONVERSE_REL)
+# The converse map on int relation codes, indexed by the code (or the
+# relation itself): LT and GT swap bits once here, so neither Rel.converse
+# nor the closure kernel calls the flag constructor.
+_CONVERSE = tuple((v & 2) | ((v & 1) << 2) | ((v & 4) >> 2) for v in range(8))
 
 # Indexed by the relation code, like ALL_RELS.
 CANONICAL_SYMBOLS = ("never", "<", "=", "<=", ">", "!=", ">=", "any")

@@ -3,7 +3,7 @@
 The exit code is the machine-readable half of the contract:
 
 * 0  success
-* 1  usage, parse, validation, or guard errors
+* 1  usage, parse, validation, guard or output errors
 * 2  deadlock detected (close, deadlock)
 * 3  systems not equivalent (equiv)
 
@@ -14,6 +14,8 @@ Human-readable results go to standard output; diagnostics and the
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -261,10 +263,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; 2 is taken by deadlock here.
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
     except SyncAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:  # writing stdout failed; read errors arrive as SyncAlgebraError
+        if exc.errno != errno.EPIPE:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # Whatever is still buffered must not fail again at interpreter exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

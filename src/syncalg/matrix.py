@@ -14,9 +14,10 @@ so it returns a raw grid rather than a matrix.
 
 The constructor checks the invariants row by row, not cell by cell: the
 grid is copied once into a ``bytes`` string of relation codes, each of
-which must be below 8, the diagonal is one stride slice of it, and row
-i, mapped through a converse translation table, must equal column i.  Only a grid that fails those
-row checks is scanned cell by cell, to name the first faulty cell.
+which must be below 8, and row i must have the full relation at i and,
+mapped through a converse translation table, equal column i.  A failed
+check is searched cell by cell only within what failed (the grid for a
+bad cell, one row for a converse pair) to name the first fault.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import GuardError, ValidationError
 RelGrid = tuple[tuple[Rel, ...], ...]
 
 # The eight relation codes, and the converse map as a bytes.translate
-# table (which must have 256 entries; the row check rejects any grid with
+# table (which must have 256 entries; _check_grid rejects any grid with
 # a code from 8 up before the table is read).
 _CODES = bytes(range(8))
 _CONVERSE_BYTES = bytes(_CONVERSE) + bytes(range(8, 256))
@@ -79,8 +80,7 @@ class SyncMatrix:
         object.__setattr__(self, "cells", cells)
         if len(cells) != n or any(len(row) != n for row in cells):
             raise ValidationError(f"cell grid must be {n}x{n}")
-        if not _invariants_hold(cells):
-            _check_cells(cells)  # names the first fault
+        _check_grid(cells)
 
     @property
     def n(self) -> int:
@@ -111,7 +111,7 @@ class SyncMatrix:
                 raise ValidationError(f"event index ({i},{j}) out of range for {n} events")
             if i == j:
                 raise ValidationError(f"event {labels[i]!r} cannot constrain itself")
-            if not isinstance(rel, Rel):
+            if not isinstance(rel, Rel) or rel not in ALL_RELS:
                 raise ValidationError(f"entry relation {rel!r} is not a relation")
             code = int(rel)
             grid[i][j] &= code
@@ -152,8 +152,8 @@ class SyncMatrix:
     __and__ = intersect
 
     def converse(self) -> "SyncMatrix":
-        """Cell-wise converse; by antisymmetry this equals the transpose."""
-        return SyncMatrix(self.labels, [[c.converse() for c in row] for row in self.cells])
+        """Cell-wise converse, which by converse antisymmetry is the transpose."""
+        return SyncMatrix(self.labels, zip(*self.cells))
 
     def complement_cells(self) -> RelGrid:
         """Cell-wise complement, as a raw grid: the diagonal becomes NEVER."""
@@ -177,43 +177,29 @@ class SyncMatrix:
         return SyncMatrix(pick(self.labels), [pick(row) for row in pick(self.cells)])
 
 
-def _invariants_hold(cells: RelGrid) -> bool:
-    """Row-level check of a square grid: every cell is one of the eight
-    relations, the diagonal is full and cell (j, i) is the converse of
-    cell (i, j)."""
-    if not all(set(map(type, row)) == {Rel} for row in cells):
-        return False
-    try:
-        codes = b"".join(map(bytes, cells))
-    except ValueError:  # a Rel code from 256 up
-        return False
-    n = len(cells)
-    return (
-        not codes.translate(None, _CODES)  # deleting the eight codes leaves nothing
-        and codes[:: n + 1] == bytes([Rel.ANY]) * n
-        and all(
-            codes[i * n : i * n + n].translate(_CONVERSE_BYTES) == codes[i::n]
-            for i in range(n)
-        )
-    )
-
-
-def _check_cells(cells: RelGrid) -> None:
-    """Cell-by-cell invariant check on a square grid; raises on the first fault.
+def _check_grid(cells: RelGrid) -> None:
+    """Check a square grid's invariants; raises on the first fault.
 
     Faults are reported in scan order: any non-relation cell first, then
     row by row the diagonal cell followed by that row's converse pairs.
     """
-    for row in cells:
-        for cell in row:
-            if not isinstance(cell, Rel) or cell not in ALL_RELS:
-                raise ValidationError(f"cell {cell!r} is not a relation")
-    for i in range(len(cells)):
-        if cells[i][i] != Rel.ANY:
+    n = len(cells)
+    try:
+        typed = all(set(map(type, row)) == {Rel} for row in cells)
+        codes = b"".join(map(bytes, cells)) if typed else b"\xff"
+    except ValueError:  # a Rel code from 256 up
+        codes = b"\xff"
+    if codes.translate(None, _CODES):  # deleting the eight codes leaves something
+        bad = next(c for row in cells for c in row if type(c) is not Rel or c not in ALL_RELS)
+        raise ValidationError(f"cell {bad!r} is not a relation")
+    for i in range(n):
+        row = codes[i * n : i * n + n]
+        if row[i] != Rel.ANY:
             raise ValidationError("diagonal cells must be the full relation")
-        for j in range(i + 1, len(cells)):
-            if cells[j][i] != cells[i][j].converse():
-                raise ValidationError(f"cells ({i},{j}) and ({j},{i}) are not converses")
+        if row.translate(_CONVERSE_BYTES) != codes[i::n]:
+            # A mismatch left of the diagonal would have failed at row j < i.
+            j = next(j for j in range(i + 1, n) if codes[j * n + i] != _CONVERSE[row[j]])
+            raise ValidationError(f"cells ({i},{j}) and ({j},{i}) are not converses")
 
 
 def matrix_count(n: int) -> int:

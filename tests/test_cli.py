@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface.
 
 Everything drives ``main(argv)`` directly so the exit-code contract is
-checked in-process; one test runs the real interpreter entry point to
-make sure packaging works.
+checked in-process; the tests at the end run the real interpreter entry
+point, to make sure packaging works and that output errors end without a
+traceback.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -239,3 +241,38 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 2
     assert "deadlock" in proc.stdout
+
+
+# An empty PYTHONUNBUFFERED means buffered stdout, whose leftover bytes the
+# interpreter flushes once more at exit; "1" makes every print a write.
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_exits_one_without_traceback(unbuffered):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "syncalg", "atoms", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+    )
+    assert proc.stdout.readline() == b"atom 1:\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_full_device_exits_one_without_traceback(tmp_path, unbuffered):
+    path = tmp_path / "chain.sync"
+    path.write_text("a < b\nb < c\n")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "syncalg", "close", str(path)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: cannot write output: ")
+    assert proc.stderr.count(b"\n") == 1

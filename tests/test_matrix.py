@@ -50,6 +50,12 @@ def test_from_entries_rejects_bad_input():
         SyncMatrix.from_entries(("a", "b"), [(1, 1, Rel.LT)])
     with pytest.raises(ValidationError):
         SyncMatrix.from_entries(("a", "b"), [(0, 1, "<")])
+    # Plain ints and out-of-range flag values are not relations either.
+    for rel in (3, Rel(8), Rel(9)):
+        with pytest.raises(
+            ValidationError, match=re.escape(f"entry relation {rel!r} is not a relation")
+        ):
+            SyncMatrix.from_entries(("a", "b"), [(0, 1, rel)])
 
 
 def test_constructor_enforces_unit_diagonal():
@@ -113,6 +119,7 @@ def test_converse_is_transpose():
         for i in range(4):
             for j in range(4):
                 assert c.cells[i][j] == m.cells[j][i]
+                assert c.cells[i][j] == m.cells[i][j].converse()
 
 
 def test_complement_cells_breaks_the_diagonal():
@@ -317,6 +324,15 @@ def test_constructor_reports_the_diagonal_between_converse_rows():
         SyncMatrix(default_labels(3), grid)
     grid[0][2] = Rel.LT
     with pytest.raises(ValidationError, match=r"\(0,2\)"):
+        SyncMatrix(default_labels(3), grid)
+
+
+def test_constructor_reports_a_bad_cell_before_an_earlier_diagonal():
+    # Cells are typed over the whole grid before any row's diagonal.
+    grid = [[Rel.ANY] * 3 for _ in range(3)]
+    grid[0][0] = Rel.EQ
+    grid[2][1] = Rel(8)
+    with pytest.raises(ValidationError, match=re.escape(f"cell {Rel(8)!r} is not a relation")):
         SyncMatrix(default_labels(3), grid)
 
 
