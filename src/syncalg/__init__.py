@@ -47,16 +47,24 @@ from .matrix import (
     enumerate_matrices,
     matrix_count,
 )
-from .oracle import (
-    DEFAULT_ASSIGNMENT_CEILING,
-    PairSet,
-    atom_of,
-    minimal_network,
-    pairs_of,
-    satisfies,
-)
 
 __version__ = "0.1.0"
+
+# The oracle is the slow reference, and of the commands only
+# ``close --verify`` uses it, so it is imported on first access to one of
+# its names (PEP 562) rather than with the package.
+_ORACLE_NAMES = frozenset(
+    ("DEFAULT_ASSIGNMENT_CEILING", "PairSet", "atom_of", "minimal_network", "pairs_of", "satisfies")
+)
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)
+
 
 __all__ = [
     "ALL_RELS",

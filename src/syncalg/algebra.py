@@ -25,7 +25,7 @@ Textual symbols are fixed here once and reused by every serializer:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -146,8 +146,7 @@ _BOUND_PHRASES = {
 }
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(namedtuple("Bound", "value")):
     """Boundedness of one event's allowed occurrence times.
 
     The carrier is the same eight-element algebra: ``value`` is the
@@ -158,7 +157,7 @@ class Bound:
     EQ atom tells whether the boundary itself is attainable.
     """
 
-    value: Rel
+    __slots__ = ()
 
     @property
     def bounded_below(self) -> bool:

@@ -31,7 +31,6 @@ from .format import (
     to_dot,
 )
 from .matrix import SyncMatrix, atom_matrices, matrix_count
-from .oracle import minimal_network
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,6 +89,8 @@ def _verify_report(matrix: SyncMatrix, report: ClosureReport) -> None:
     Past the oracle's assignment ceiling the cross-check is skipped with a
     note; the closure is still printed.
     """
+    from .oracle import minimal_network  # the slow reference, loaded only here
+
     try:
         grid, satisfiable = minimal_network(matrix)
     except GuardError as exc:
@@ -258,12 +259,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 is taken by deadlock here.
-        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    try:
-        code = args.handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors; 2 is taken by deadlock here.
+            code = EXIT_OK if exc.code in (0, None) else EXIT_ERROR
+        else:
+            code = args.handler(args)
         sys.stdout.flush()
     except SyncAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,8 +32,8 @@ which narrows nothing; with ``never`` the cell is already empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .algebra import _CONVERSE, ALL_RELS, Bound, Rel
 from .errors import ValidationError
@@ -48,31 +48,29 @@ _THROUGH = tuple(
 )
 
 
-class ImpliedChange(NamedTuple):
-    """One cell the closure shrank: (i, j) with its before and after."""
+class ImpliedChange(namedtuple("ImpliedChange", "i j before after")):
+    """One cell the closure shrank: (i, j) with its before and after ``Rel``."""
 
-    i: int
-    j: int
-    before: Rel
-    after: Rel
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(
+    namedtuple(
+        "ClosureReport",
+        "closed bounds deadlocked deadlock_pairs implied iterations",
+    )
+):
     """Everything the closure of one matrix reveals.
 
-    ``deadlock_pairs`` and ``implied`` list above-diagonal positions
+    ``closed`` is the closed ``SyncMatrix`` and ``bounds`` a tuple of
+    ``Bound``, one per event.  ``deadlock_pairs`` (index pairs) and
+    ``implied`` (``ImpliedChange`` records) list above-diagonal positions
     only, since the mirror cells carry the same information.
     ``iterations`` counts full sweeps including the final one that
     verified the fixpoint.
     """
 
-    closed: SyncMatrix
-    bounds: tuple[Bound, ...]
-    deadlocked: bool
-    deadlock_pairs: tuple[tuple[int, int], ...]
-    implied: tuple[ImpliedChange, ...]
-    iterations: int
+    __slots__ = ()
 
 
 def _propagate(cells: list[list[Rel]], pair_order: Sequence[tuple[int, int]] | None = None) -> int:

@@ -25,35 +25,31 @@ relations.
 from __future__ import annotations
 
 import enum
-import json
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .algebra import _REL_OF_SYMBOL, CANONICAL_SYMBOLS, Rel
 from .closure import ClosureReport
 from .errors import InterchangeError, ParseError, ValidationError
 from .matrix import SyncMatrix
 
+# json is imported inside the three interchange functions, so a command
+# that prints text or DOT starts without loading it.
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(namedtuple("Constraint", "lhs op rhs line")):
     """One directed declaration, with its 1-based source line (0 if synthesized)."""
 
-    lhs: str
-    op: str
-    rhs: str
-    line: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SyncSpec:
+class SyncSpec(namedtuple("SyncSpec", "events constraints")):
     """A parsed declaration file: event order plus directed constraints."""
 
-    events: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
+    __slots__ = ()
 
 
 def parse_spec(text: str) -> SyncSpec:
@@ -187,6 +183,8 @@ def spec_to_text(spec: SyncSpec) -> str:
 
 def matrix_to_interchange(matrix: SyncMatrix) -> str:
     """JSON document for a bare matrix: events plus the symbol grid."""
+    import json
+
     doc = {
         "events": list(matrix.labels),
         "matrix": [list(map(CANONICAL_SYMBOLS.__getitem__, row)) for row in matrix.cells],
@@ -200,6 +198,8 @@ def report_to_interchange(report: ClosureReport) -> str:
     Pair positions are emitted as label pairs rather than indices so the
     document stands alone.
     """
+    import json
+
     m = report.closed
     doc = {
         "events": list(m.labels),
@@ -229,6 +229,8 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
     and unknown keys are ignored, so a report document round-trips into
     its closed matrix.
     """
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

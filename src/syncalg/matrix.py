@@ -23,8 +23,7 @@ bad cell, one row for a converse pair) to name the first fault.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .algebra import _CONVERSE, ALL_RELS, ATOMS, Rel
 from .errors import GuardError, ValidationError
@@ -49,20 +48,23 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{k + 1}" for k in range(n))
 
 
-@dataclass(frozen=True)
 class SyncMatrix:
     """Pairwise relation grid plus the event names indexing it.
 
     Labels and rows may be given as any sequences: the constructor stores
-    them as tuples and is the one place the invariants are checked.
+    them as tuples and is the one place the invariants are checked.  A
+    matrix is immutable and compares and hashes by value; pickling and
+    copying go back through the constructor.
     """
 
+    __slots__ = ("labels", "cells")
+    __match_args__ = ("labels", "cells")
     labels: tuple[str, ...]
     cells: RelGrid
 
-    def __post_init__(self):
+    def __init__(self, labels: Iterable[str], cells: Iterable[Iterable[Rel]]):
         try:
-            labels = tuple(self.labels)
+            labels = tuple(labels)
         except TypeError:
             raise ValidationError("event labels must be a sequence of strings") from None
         n = len(labels)
@@ -73,14 +75,34 @@ class SyncMatrix:
         if len(set(labels)) != n:
             raise ValidationError("event labels must be distinct")
         try:
-            cells = tuple(map(tuple, self.cells))
+            cells = tuple(map(tuple, cells))
         except TypeError:
             raise ValidationError(f"cell grid must be {n}x{n}") from None
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "cells", cells)
         if len(cells) != n or any(len(row) != n for row in cells):
             raise ValidationError(f"cell grid must be {n}x{n}")
         _check_grid(cells)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cells", cells)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.cells) == (other.labels, other.cells)
+
+    def __hash__(self):
+        return hash((self.labels, self.cells))
+
+    def __repr__(self):
+        return f"SyncMatrix(labels={self.labels!r}, cells={self.cells!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.labels, self.cells)
 
     @property
     def n(self) -> int:

@@ -276,3 +276,54 @@ def test_full_device_exits_one_without_traceback(tmp_path, unbuffered):
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: cannot write output: ")
     assert proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_into_full_device_exits_one_when_buffered():
+    # Unbuffered, argparse itself ignores the failed write and exits 0.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "syncalg", "--help"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": ""},
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: cannot write output: ")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def _imported(args):
+    """Run the interpreter with -X importtime; return it and the modules it imported."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc, names
+
+
+# Modules only --verify or interchange output need, and dataclasses with
+# the inspect it pulls in, which no command needs.
+NOT_ON_THE_COMMAND_PATH = {"dataclasses", "inspect", "json", "syncalg.oracle"}
+
+
+@pytest.mark.parametrize("command", ["close", "deadlock", "bounds", "dot"])
+def test_plain_commands_import_only_what_they_run(write, command):
+    path = write("chain.sync", "a < b\nb < c\n")
+    _, at_start = _imported(["-c", "pass"])
+    proc, loaded = _imported(["-m", "syncalg", command, path])
+    assert proc.returncode == 0
+    assert "syncalg.cli" in loaded
+    assert not (loaded - at_start) & NOT_ON_THE_COMMAND_PATH
+
+
+def test_verify_loads_the_oracle(write):
+    path = write("chain.sync", "a < b\nb < c\n")
+    proc, loaded = _imported(["-m", "syncalg", "close", "--verify", path])
+    assert proc.returncode == 0
+    assert "syncalg.oracle" in loaded
+    assert "verify: every closed cell equals the exact network" in proc.stderr
