@@ -189,70 +189,65 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Lets a failed write of help or usage to stdout reach ``main``.
+
+    argparse ignores an ``OSError`` from that write, so unbuffered
+    ``--help`` into a full device would exit 0 with nothing written.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="syncalg",
         description="Synchronization algebra tools: closure, deadlock, bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    commands = {}
+    # Name, help, handler and positionals; a command with positionals
+    # reads declaration files and takes --neq-as.
+    for name, help_text, handler, *files in (
+        ("close", "close a declaration file and report", cmd_close, "file"),
+        ("deadlock", "report whether the system deadlocks", cmd_deadlock, "file"),
+        ("bounds", "per-event boundedness of the closed system", cmd_bounds, "file"),
+        ("equiv", "compare two declaration files up to implied constraints", cmd_equiv,
+         "file", "other"),
+        ("swap", "exchange two events and print the matrix as interchange JSON", cmd_swap,
+         "file", "first", "second"),
+        ("atoms", "print the atom matrices for n events", cmd_atoms),
+        ("count", "print the number of distinct matrices on n events", cmd_count),
+        ("dot", "emit Graphviz DOT for the closed system", cmd_dot, "file"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    def add_neq(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--neq-as",
-            choices=[m.value for m in NeqMode],
-            default="keep",
-            help="how to treat declared != constraints (default: keep)",
-        )
-
-    p = add("close", "close a declaration file and report", cmd_close)
-    p.add_argument("file")
-    add_neq(p)
-    p.add_argument(
+        for dest in files:
+            p.add_argument(dest)
+        if files:
+            p.add_argument(
+                "--neq-as",
+                choices=[m.value for m in NeqMode],
+                default="keep",
+                help="how to treat declared != constraints (default: keep)",
+            )
+    commands["close"].add_argument(
         "--format",
         choices=("text", "interchange"),
         default="text",
         help="output form (default: text)",
     )
-    p.add_argument(
+    commands["close"].add_argument(
         "--verify",
         action="store_true",
         help="cross-check the closure by exhaustive enumeration",
     )
-
-    p = add("deadlock", "report whether the system deadlocks", cmd_deadlock)
-    p.add_argument("file")
-    add_neq(p)
-
-    p = add("bounds", "per-event boundedness of the closed system", cmd_bounds)
-    p.add_argument("file")
-    add_neq(p)
-
-    p = add("equiv", "compare two declaration files up to implied constraints", cmd_equiv)
-    p.add_argument("file")
-    p.add_argument("other")
-    add_neq(p)
-
-    p = add("swap", "exchange two events and print the matrix as interchange JSON", cmd_swap)
-    p.add_argument("file")
-    p.add_argument("first")
-    p.add_argument("second")
-    add_neq(p)
-
-    p = add("atoms", "print the atom matrices for n events", cmd_atoms)
-    p.add_argument("n", type=int)
-
-    p = add("count", "print the number of distinct matrices on n events", cmd_count)
-    p.add_argument("n", type=int)
-
-    p = add("dot", "emit Graphviz DOT for the closed system", cmd_dot)
-    p.add_argument("file")
-    add_neq(p)
-
+    for name in ("atoms", "count"):
+        commands[name].add_argument("n", type=int)
     return parser
 
 

@@ -17,9 +17,10 @@ change ends the loop, so 3 * (n*n - n) / 2 + 1 passes bound the worst
 case, comfortably under 3 * n**2 + 1.
 
 This is path consistency (Mackworth 1977), and its inner loop runs
-n**3 times a pass, so ``_propagate`` works on a private grid of plain
-ints (the relation codes 0-7) and writes ``Rel`` cells back once at the
-end.  Composition and converse become lookups in two tables built from
+n**3 times a pass, so ``_propagate`` narrows a grid of plain ints (the
+relation codes 0-7) in place, and ``close`` reads the implied cells and
+deadlock pairs off that grid and builds the closed matrix from it once.
+Composition and converse become lookups in two tables built from
 the ``Rel`` operators at import: ``_THROUGH[a][b]`` is
 ``compose(a, converse(b))``, so the pair (i, j) meets row i against row
 j cell by cell, and ``_CONVERSE`` mirrors a narrowed cell.  The scan
@@ -34,8 +35,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import reduce
+from operator import and_
 
-from .algebra import _CONVERSE, ALL_RELS, Bound, Rel
+from .algebra import _CONVERSE, ALL_RELS, Bound
 from .errors import ValidationError
 from .matrix import SyncMatrix
 
@@ -44,7 +47,7 @@ from .matrix import SyncMatrix
 # converse, and _THROUGH[a][b] is what x-to-z may be when x-to-y is a and
 # z-to-y is b.
 _THROUGH = tuple(
-    tuple(a.compose(b.converse()).value for b in ALL_RELS) for a in ALL_RELS
+    tuple(int(a.compose(b.converse())) for b in ALL_RELS) for a in ALL_RELS
 )
 
 
@@ -73,12 +76,8 @@ class ClosureReport(
     __slots__ = ()
 
 
-def _propagate(cells: list[list[Rel]], pair_order: Sequence[tuple[int, int]] | None = None) -> int:
-    """Run the fixpoint in place; returns the number of full passes."""
-    n = len(cells)
-    if pair_order is None:
-        pair_order = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    grid = [[cell.value for cell in row] for row in cells]
+def _propagate(grid: list[list[int]], pair_order: Sequence[tuple[int, int]]) -> int:
+    """Narrow the grid of relation codes in place; returns the number of full passes."""
     through_of, converse_of = _THROUGH, _CONVERSE  # locals: read n**3 times per pass
     passes = 0
     changed = True
@@ -96,29 +95,23 @@ def _propagate(cells: list[list[Rel]], pair_order: Sequence[tuple[int, int]] | N
                 grid[i][j] = through
                 grid[j][i] = converse_of[through]
                 changed = True
-    for row, codes in zip(cells, grid):
-        row[:] = [ALL_RELS[code] for code in codes]
     return passes
 
 
 def close(matrix: SyncMatrix) -> ClosureReport:
     """Close the matrix and report implications, bounds, and deadlock."""
-    cells = [list(row) for row in matrix.cells]
-    n = len(cells)
-    iterations = _propagate(cells)
-    closed = SyncMatrix(matrix.labels, cells)
+    declared = [bytes(row) for row in matrix.cells]
+    grid = [list(row) for row in declared]
+    n = len(grid)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    iterations = _propagate(grid, pairs)
+    closed = SyncMatrix(matrix.labels, [map(ALL_RELS.__getitem__, row) for row in grid])
     implied = tuple(
-        ImpliedChange(i, j, matrix.cells[i][j], closed.cells[i][j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if closed.cells[i][j] != matrix.cells[i][j]
+        ImpliedChange(i, j, ALL_RELS[declared[i][j]], ALL_RELS[grid[i][j]])
+        for i, j in pairs
+        if grid[i][j] != declared[i][j]
     )
-    deadlock_pairs = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if closed.cells[i][j] == Rel.NEVER
-    )
+    deadlock_pairs = tuple((i, j) for i, j in pairs if not grid[i][j])
     return ClosureReport(
         closed=closed,
         bounds=boundedness(closed),
@@ -137,14 +130,8 @@ def boundedness(matrix: SyncMatrix) -> tuple[Bound, ...]:
     declarations.  For a single event the empty intersection is the full
     relation: unbounded.
     """
-    out = []
-    for row in matrix.cells:
-        # The diagonal cell is ANY, so folding it in changes nothing.
-        acc = Rel.ANY.value
-        for cell in row:
-            acc &= cell.value
-        out.append(Bound(ALL_RELS[acc]))
-    return tuple(out)
+    # The diagonal cell is ANY, so folding it in changes nothing.
+    return tuple(Bound(ALL_RELS[reduce(and_, bytes(row))]) for row in matrix.cells)
 
 
 def equivalent(p: SyncMatrix, q: SyncMatrix) -> bool:

@@ -280,11 +280,13 @@ def to_dot(report: ClosureReport) -> str:
 
     Nodes show the event name with its bound symbol; one edge per
     constrained above-diagonal pair, with empty (deadlocked) pairs drawn
-    dashed.
+    dashed.  Backslashes and double quotes in event names are escaped, so
+    any label gives valid DOT.
     """
     m = report.closed
+    names = [name.replace("\\", "\\\\").replace('"', '\\"') for name in m.labels]
     lines = ["digraph synchronization {"]
-    for name, bound in zip(m.labels, report.bounds):
+    for name, bound in zip(names, report.bounds):
         lines.append(f'  "{name}" [label="{name}\\n[{bound.symbol}]"];')
     for i in range(m.n):
         for j in range(i + 1, m.n):
@@ -293,7 +295,7 @@ def to_dot(report: ClosureReport) -> str:
                 continue
             style = ", style=dashed" if cell == Rel.NEVER else ""
             lines.append(
-                f'  "{m.labels[i]}" -> "{m.labels[j]}" [label="{cell.symbol}"{style}];'
+                f'  "{names[i]}" -> "{names[j]}" [label="{cell.symbol}"{style}];'
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

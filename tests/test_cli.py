@@ -280,7 +280,6 @@ def test_full_device_exits_one_without_traceback(tmp_path, unbuffered):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_help_into_full_device_exits_one_when_buffered():
-    # Unbuffered, argparse itself ignores the failed write and exits 0.
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "syncalg", "--help"],
@@ -291,6 +290,22 @@ def test_help_into_full_device_exits_one_when_buffered():
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: cannot write output: ")
     assert proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [["--help"], ["close", "--help"]])
+def test_help_into_full_device_exits_one_when_unbuffered(args):
+    # Unbuffered, the help text is written straight from argparse, which
+    # would ignore the failed write and exit 0.
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "syncalg", *args],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
 
 
 def _imported(args):

@@ -1,5 +1,7 @@
 """Tests for transitive closure, boundedness, deadlock, and equivalence."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -85,11 +87,11 @@ def test_fixpoint_is_sweep_order_independent():
     rng = random.Random(9)
     for _ in range(40):
         m = random_matrix(rng, 4)
-        reference = [list(row) for row in m.cells]
-        _propagate(reference)
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        reference = [list(bytes(row)) for row in m.cells]
+        _propagate(reference, pairs)
         rng.shuffle(pairs)
-        shuffled = [list(row) for row in m.cells]
+        shuffled = [list(bytes(row)) for row in m.cells]
         _propagate(shuffled, pairs)
         assert shuffled == reference
 
@@ -135,10 +137,29 @@ def planted_matrix(rng, n, density):
 def assert_kernel_matches_reference(m, pair_order=None):
     expected = [list(row) for row in m.cells]
     expected_passes = reference_propagate(expected, pair_order)
-    got = [list(row) for row in m.cells]
+    if pair_order is None:
+        pair_order = [(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
+    got = [list(bytes(row)) for row in m.cells]
     assert _propagate(got, pair_order) == expected_passes
     assert got == expected
-    assert all(type(cell) is Rel for row in got for cell in row)
+    assert all(type(code) is int for row in got for code in row)
+
+
+def assert_report_matches_reference(m):
+    """close(m) against a report assembled on Rel cells from reference_propagate."""
+    cells = [list(row) for row in m.cells]
+    iterations = reference_propagate(cells)
+    pairs = [(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
+    report = close(m)
+    assert [tuple(c) for c in report.implied] == [
+        (i, j, m.cells[i][j], cells[i][j]) for i, j in pairs if cells[i][j] != m.cells[i][j]
+    ]
+    assert all(type(c.before) is type(c.after) is Rel for c in report.implied)
+    assert report.deadlock_pairs == tuple((i, j) for i, j in pairs if cells[i][j] == Rel.NEVER)
+    assert report.deadlocked == bool(report.deadlock_pairs)
+    rows = [functools.reduce(operator.and_, row, Rel.ANY) for row in cells]
+    assert [bound.value for bound in report.bounds] == rows
+    assert report.iterations == iterations
 
 
 def test_int_kernel_matches_the_rel_sweep_on_random_matrices():
@@ -152,6 +173,7 @@ def test_int_kernel_matches_the_rel_sweep_on_random_matrices():
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             rng.shuffle(pairs)
         assert_kernel_matches_reference(m, pairs)
+        assert_report_matches_reference(m)
 
 
 def test_int_kernel_matches_the_rel_sweep_on_planted_systems():

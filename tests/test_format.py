@@ -213,3 +213,14 @@ def test_dot_omits_unconstrained_pairs():
     m = SyncMatrix.unconstrained(("a", "b"))
     dot = to_dot(close(m))
     assert "->" not in dot
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    m = SyncMatrix.from_entries(('a"b', "c\\d"), [(0, 1, Rel.LT)])
+    assert to_dot(close(m)) == (
+        "digraph synchronization {\n"
+        '  "a\\"b" [label="a\\"b\\n[<]"];\n'
+        '  "c\\\\d" [label="c\\\\d\\n[>]"];\n'
+        '  "a\\"b" -> "c\\\\d" [label="<"];\n'
+        "}\n"
+    )
