@@ -54,56 +54,46 @@ class SyncSpec(namedtuple("SyncSpec", "events constraints")):
 
 def parse_spec(text: str) -> SyncSpec:
     """Parse declaration text; all errors carry the offending line number."""
-    events: list[str] = []
-    known: set[str] = set()
+    # Insertion-ordered: one dict is the event order and the name set.  It
+    # is empty exactly until a significant line has been read.
+    roster: dict[str, None] = {}
     constraints: list[Constraint] = []
     closed_roster = False
-    saw_significant = False
-
-    def register(name: str, lineno: int) -> None:
-        if name in known:
-            return
-        if closed_roster:
-            raise ParseError(lineno, f"event {name!r} not named in the events directive")
-        known.add(name)
-        events.append(name)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if not saw_significant and tokens[0] == "events" and not _constraint_shaped(tokens):
+        if not roster and tokens[0] == "events" and not _constraint_shaped(tokens):
             if len(tokens) < 2:
                 raise ParseError(lineno, "events directive names no events")
             for name in tokens[1:]:
                 if not _NAME_RE.match(name):
                     raise ParseError(lineno, f"invalid event name {name!r}")
-                if name in known:
+                if name in roster:
                     raise ParseError(lineno, f"event {name!r} listed twice")
-                known.add(name)
-                events.append(name)
+                roster[name] = None
             closed_roster = True
-            saw_significant = True
             continue
-        saw_significant = True
         if len(tokens) != 3:
             raise ParseError(lineno, "expected '<name> <relop> <name>'")
         lhs, op, rhs = tokens
-        # Every name in known already matched _NAME_RE.
-        if lhs not in known and not _NAME_RE.match(lhs):
+        # Every name in the roster already matched _NAME_RE.
+        if lhs not in roster and not _NAME_RE.match(lhs):
             raise ParseError(lineno, f"invalid event name {lhs!r}")
-        if rhs not in known and not _NAME_RE.match(rhs):
+        if rhs not in roster and not _NAME_RE.match(rhs):
             raise ParseError(lineno, f"invalid event name {rhs!r}")
         if op not in CANONICAL_SYMBOLS:
             raise ParseError(lineno, f"unknown relation symbol {op!r}")
         if lhs == rhs:
             raise ParseError(lineno, f"event {lhs!r} cannot be synchronized with itself")
-        register(lhs, lineno)
-        register(rhs, lineno)
+        for name in (lhs, rhs):
+            if closed_roster and name not in roster:
+                raise ParseError(lineno, f"event {name!r} not named in the events directive")
+            roster[name] = None  # a name already listed keeps its place
         constraints.append(Constraint(lhs, op, rhs, lineno))
 
-    return SyncSpec(tuple(events), tuple(constraints))
+    return SyncSpec(tuple(roster), tuple(constraints))
 
 
 def _constraint_shaped(tokens: list[str]) -> bool:
@@ -153,10 +143,13 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
     no longer remembers whether a or b was written first.
     """
     index = {name: k for k, name in enumerate(spec.events)}
-    entries = [
-        (index[c.lhs], index[c.rhs], Rel.from_symbol(c.op))
-        for c in spec.constraints
-    ]
+    try:
+        entries = [
+            (index[c.lhs], index[c.rhs], Rel.from_symbol(c.op))
+            for c in spec.constraints
+        ]
+    except KeyError as exc:
+        raise ValidationError(f"unknown event {exc.args[0]!r}") from None
     return SyncMatrix.from_entries(spec.events, substitute_neq(entries, neq_as))
 
 
@@ -172,13 +165,23 @@ def matrix_to_spec(matrix: SyncMatrix) -> SyncSpec:
 
 
 def spec_to_text(spec: SyncSpec) -> str:
-    """Render a spec back to declaration text, directive first."""
-    lines = []
-    if spec.events:
-        lines.append("events " + " ".join(spec.events))
-    for c in spec.constraints:
-        lines.append(f"{c.lhs} {c.op} {c.rhs}")
-    return "\n".join(lines) + "\n"
+    """Render a spec back to declaration text, directive first.
+
+    The text is parsed back, so the grammar has one owner: a spec that
+    reads back as another (a label ``a b``, or events ``never any``, whose
+    directive reads as a constraint) raises ValidationError.
+    """
+    lines = ["events " + " ".join(spec.events)] if spec.events else []
+    lines += [f"{c.lhs} {c.op} {c.rhs}" for c in spec.constraints]
+    text = "\n".join(lines) + "\n"
+    try:
+        back = parse_spec(text)
+    except ParseError as exc:
+        raise ValidationError(f"spec does not read back from declaration text: {exc}") from None
+    written = (tuple(spec.events), [(c.lhs, c.op, c.rhs) for c in spec.constraints])
+    if (back.events, [c[:3] for c in back.constraints]) != written:
+        raise ValidationError("spec reads back from declaration text as a different system")
+    return text
 
 
 def matrix_to_interchange(matrix: SyncMatrix) -> str:
@@ -233,7 +236,7 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InterchangeError(None, f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InterchangeError(None, "top-level value must be an object")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
+from operator import and_, or_
 
 from .algebra import _CONVERSE, ALL_RELS, ATOMS, Rel
 from .errors import GuardError, ValidationError
@@ -151,24 +152,17 @@ class SyncMatrix:
             raise ValidationError(f"cell ({i},{j}) out of range for {self.n} events")
         return self.cells[i][j]
 
-    def _check_peer(self, other: "SyncMatrix") -> None:
-        if self.labels != other.labels:
-            raise ValidationError("matrix operands must share the same event labels")
-
     def union(self, other: "SyncMatrix") -> "SyncMatrix":
         """Cell-wise union; the invariants survive because converse distributes."""
-        self._check_peer(other)
-        return SyncMatrix(
-            self.labels,
-            [[a | b for a, b in zip(ra, rb)] for ra, rb in zip(self.cells, other.cells)],
-        )
+        return self._cellwise(or_, other)
 
     def intersect(self, other: "SyncMatrix") -> "SyncMatrix":
-        self._check_peer(other)
-        return SyncMatrix(
-            self.labels,
-            [[a & b for a, b in zip(ra, rb)] for ra, rb in zip(self.cells, other.cells)],
-        )
+        return self._cellwise(and_, other)
+
+    def _cellwise(self, op, other: "SyncMatrix") -> "SyncMatrix":
+        if self.labels != other.labels:
+            raise ValidationError("matrix operands must share the same event labels")
+        return SyncMatrix(self.labels, [map(op, ra, rb) for ra, rb in zip(self.cells, other.cells)])
 
     __or__ = union
     __and__ = intersect

@@ -6,10 +6,11 @@ import pytest
 
 from syncalg.algebra import Rel
 from syncalg.closure import close
-from syncalg.errors import InterchangeError, ParseError
+from syncalg.errors import InterchangeError, ParseError, ValidationError
 from syncalg.format import (
     Constraint,
     NeqMode,
+    SyncSpec,
     interchange_to_matrix,
     matrix_to_interchange,
     matrix_to_spec,
@@ -56,29 +57,38 @@ def test_parse_event_named_events_is_allowed_in_constraints():
     spec = parse_spec("events < done\n")
     assert spec.events == ("events", "done")
     assert spec.constraints[0].op == "<"
+    spec = parse_spec("events never x\n")
+    assert spec.events == ("events", "x")
+    assert spec.constraints == (Constraint("events", "never", "x", 1),)
 
 
 @pytest.mark.parametrize(
-    "text,lineno",
+    "text,lineno,message",
     [
-        ("a <\n", 1),
-        ("a < b c\n", 1),
-        ("a >< b\n", 1),
-        ("1a < b\n", 1),
-        ("a < 2b\n", 1),
-        ("a < a\n", 1),
-        ("events\n", 1),
-        ("events a a\n", 1),
-        ("events a-b\n", 1),
-        ("a < b\nb ~ c\n", 2),
-        ("events a b\na < c\n", 2),
+        ("a <\n", 1, "expected '<name> <relop> <name>'"),
+        ("a < b c\n", 1, "expected '<name> <relop> <name>'"),
+        ("a >< b\n", 1, "unknown relation symbol '><'"),
+        ("1a < b\n", 1, "invalid event name '1a'"),
+        ("a < 2b\n", 1, "invalid event name '2b'"),
+        ("a < a\n", 1, "event 'a' cannot be synchronized with itself"),
+        ("events\n", 1, "events directive names no events"),
+        ("events a a\n", 1, "event 'a' listed twice"),
+        ("events a-b\n", 1, "invalid event name 'a-b'"),
+        ("a < b\nb ~ c\n", 2, "unknown relation symbol '~'"),
+        ("events a b\na < c\n", 2, "event 'c' not named in the events directive"),
+        # Lines with more than one fault: the message names the first
+        # check that fails, in the parser's order of checks.
+        ("events a b\nzz < 1x\n", 2, "invalid event name '1x'"),
+        ("events a\nb < b\n", 2, "event 'b' cannot be synchronized with itself"),
+        ("events a\na < c\n", 2, "event 'c' not named in the events directive"),
+        ("events a b\nc ~ 1d\n", 2, "invalid event name '1d'"),
     ],
 )
-def test_parse_errors_carry_line_numbers(text, lineno):
+def test_parse_errors_carry_line_numbers(text, lineno, message):
     with pytest.raises(ParseError) as err:
         parse_spec(text)
     assert err.value.lineno == lineno
-    assert f"line {lineno}:" in str(err.value)
+    assert str(err.value) == f"line {lineno}: {message}"
 
 
 def test_duplicate_pair_declarations_conjoin():
@@ -119,6 +129,27 @@ def test_spec_to_text_reparses_to_the_same_system():
     assert spec_to_matrix(parse_spec(text)) == m
 
 
+def test_spec_to_matrix_rejects_an_event_missing_from_the_roster():
+    spec = SyncSpec(("a", "b"), (Constraint("a", "<", "c", 0),))
+    with pytest.raises(ValidationError, match=r"^unknown event 'c'$"):
+        spec_to_matrix(spec)
+
+
+def test_spec_to_text_rejects_a_label_the_language_cannot_hold():
+    m = SyncMatrix.from_entries(("a b", "c"), [(0, 1, Rel.LT)])
+    with pytest.raises(ValidationError, match="does not read back"):
+        spec_to_text(matrix_to_spec(m))
+
+
+def test_spec_to_text_rejects_a_directive_that_reads_as_a_constraint():
+    # "events never any" has the shape of a constraint on an event named
+    # "events", so the text would read back as a system that deadlocks.
+    spec = parse_spec("never < any\n")
+    assert close(spec_to_matrix(spec)).deadlocked is False
+    with pytest.raises(ValidationError, match="as a different system"):
+        spec_to_text(spec)
+
+
 def test_interchange_round_trip():
     m = SyncMatrix.from_entries(("a", "b"), [(0, 1, Rel.GE)])
     text = matrix_to_interchange(m)
@@ -151,6 +182,7 @@ def test_report_interchange_reads_back_as_the_closed_matrix():
     [
         ("[]", None),
         ("not json", None),
+        pytest.param("[" * 100000, None, id="nested-past-the-recursion-limit"),
         ('{"matrix": []}', "events"),
         ('{"events": []}', "events"),
         ('{"events": ["a", "a"]}', "events"),
