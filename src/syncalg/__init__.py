@@ -8,54 +8,33 @@ for cross-checking, text and JSON serializations, and a command-line
 front end.
 """
 
-from .algebra import ALL_RELS, ATOMS, CANONICAL_SYMBOLS, Bound, Rel
-from .closure import (
-    ClosureReport,
-    ImpliedChange,
-    boundedness,
-    close,
-    equivalent,
-)
-from .errors import (
-    GuardError,
-    InterchangeError,
-    ParseError,
-    SyncAlgebraError,
-    ValidationError,
-)
-from .format import (
-    Constraint,
-    NeqMode,
-    SyncSpec,
-    interchange_to_matrix,
-    matrix_to_interchange,
-    matrix_to_spec,
-    parse_spec,
-    report_to_interchange,
-    spec_to_matrix,
-    spec_to_text,
-    substitute_neq,
-    to_dot,
-)
-from .matrix import (
-    ENUMERATION_MAX_EVENTS,
-    LISTING_MAX_EVENTS,
-    RelGrid,
-    SyncMatrix,
-    atom_matrices,
-    default_labels,
-    enumerate_matrices,
-    matrix_count,
-)
+from . import algebra, closure, errors, format, matrix
+from .algebra import *
+from .closure import *
+from .errors import *
+from .format import *
+from .matrix import *
 
 __version__ = "0.1.0"
 
 # The oracle is the slow reference, and of the commands only
 # ``close --verify`` uses it, so it is imported on first access to one of
-# its names (PEP 562) rather than with the package.
-_ORACLE_NAMES = frozenset(
-    ("DEFAULT_ASSIGNMENT_CEILING", "PairSet", "atom_of", "minimal_network", "pairs_of", "satisfies")
-)
+# its names (PEP 562) rather than with the package.  Every other public
+# name is listed once, in its own module's ``__all__``.
+__all__ = [
+    "DEFAULT_ASSIGNMENT_CEILING",
+    "PairSet",
+    "atom_of",
+    "minimal_network",
+    "pairs_of",
+    "satisfies",
+]
+_ORACLE_NAMES = frozenset(__all__)
+__all__ += algebra.__all__
+__all__ += closure.__all__
+__all__ += errors.__all__
+__all__ += format.__all__
+__all__ += matrix.__all__
 
 
 def __getattr__(name: str):
@@ -64,48 +43,3 @@ def __getattr__(name: str):
     from . import oracle
 
     return getattr(oracle, name)
-
-
-__all__ = [
-    "ALL_RELS",
-    "ATOMS",
-    "CANONICAL_SYMBOLS",
-    "DEFAULT_ASSIGNMENT_CEILING",
-    "ENUMERATION_MAX_EVENTS",
-    "LISTING_MAX_EVENTS",
-    "Bound",
-    "ClosureReport",
-    "Constraint",
-    "GuardError",
-    "ImpliedChange",
-    "InterchangeError",
-    "NeqMode",
-    "PairSet",
-    "ParseError",
-    "Rel",
-    "RelGrid",
-    "SyncAlgebraError",
-    "SyncMatrix",
-    "SyncSpec",
-    "ValidationError",
-    "atom_matrices",
-    "atom_of",
-    "boundedness",
-    "close",
-    "default_labels",
-    "enumerate_matrices",
-    "equivalent",
-    "interchange_to_matrix",
-    "matrix_count",
-    "matrix_to_interchange",
-    "matrix_to_spec",
-    "minimal_network",
-    "pairs_of",
-    "parse_spec",
-    "report_to_interchange",
-    "satisfies",
-    "spec_to_matrix",
-    "spec_to_text",
-    "substitute_neq",
-    "to_dot",
-]

@@ -29,6 +29,8 @@ from collections import namedtuple
 
 from .errors import ValidationError
 
+__all__ = ["ALL_RELS", "ATOMS", "CANONICAL_SYMBOLS", "Bound", "Rel"]
+
 
 class Rel(enum.IntFlag):
     """A relation between two event times: a subset of {LT, EQ, GT}."""

@@ -185,7 +185,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.file, args.neq_as)
-    sys.stdout.write(to_dot(close(matrix)))
+    # Printed like every other command: unbuffered, one write cut short by a
+    # closed pipe raises nothing, but print's separate newline write does.
+    print(to_dot(close(matrix)).removesuffix("\n"))
     return EXIT_OK
 
 

@@ -42,6 +42,8 @@ from .algebra import _CONVERSE, ALL_RELS, Bound
 from .errors import ValidationError
 from .matrix import SyncMatrix
 
+__all__ = ["ClosureReport", "ImpliedChange", "boundedness", "close", "equivalent"]
+
 
 # Plain-int tables for the kernel: _CONVERSE[r] (from algebra) is r's
 # converse, and _THROUGH[a][b] is what x-to-z may be when x-to-y is a and

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["GuardError", "InterchangeError", "ParseError", "SyncAlgebraError", "ValidationError"]
+
 
 class SyncAlgebraError(Exception):
     """Base class for every error this library raises on purpose."""

@@ -34,6 +34,21 @@ from .closure import ClosureReport
 from .errors import InterchangeError, ParseError, ValidationError
 from .matrix import SyncMatrix
 
+__all__ = [
+    "Constraint",
+    "NeqMode",
+    "SyncSpec",
+    "interchange_to_matrix",
+    "matrix_to_interchange",
+    "matrix_to_spec",
+    "parse_spec",
+    "report_to_interchange",
+    "spec_to_matrix",
+    "spec_to_text",
+    "substitute_neq",
+    "to_dot",
+]
+
 # json is imported inside the three interchange functions, so a command
 # that prints text or DOT starts without loading it.
 
@@ -236,7 +251,7 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
 
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, or a huge integer
         raise InterchangeError(None, f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InterchangeError(None, "top-level value must be an object")

@@ -29,6 +29,17 @@ from operator import and_, or_
 from .algebra import _CONVERSE, ALL_RELS, ATOMS, Rel
 from .errors import GuardError, ValidationError
 
+__all__ = [
+    "ENUMERATION_MAX_EVENTS",
+    "LISTING_MAX_EVENTS",
+    "RelGrid",
+    "SyncMatrix",
+    "atom_matrices",
+    "default_labels",
+    "enumerate_matrices",
+    "matrix_count",
+]
+
 RelGrid = tuple[tuple[Rel, ...], ...]
 
 # The eight relation codes, and the converse map as a bytes.translate
@@ -160,6 +171,8 @@ class SyncMatrix:
         return self._cellwise(and_, other)
 
     def _cellwise(self, op, other: "SyncMatrix") -> "SyncMatrix":
+        if not isinstance(other, SyncMatrix):
+            raise TypeError(f"matrix operand must be a SyncMatrix, not {type(other).__name__}")
         if self.labels != other.labels:
             raise ValidationError("matrix operands must share the same event labels")
         return SyncMatrix(self.labels, [map(op, ra, rb) for ra, rb in zip(self.cells, other.cells)])

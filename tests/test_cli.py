@@ -244,16 +244,28 @@ def test_module_entry_point(tmp_path):
 
 
 # An empty PYTHONUNBUFFERED means buffered stdout, whose leftover bytes the
-# interpreter flushes once more at exit; "1" makes every print a write.
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_closed_pipe_exits_one_without_traceback(unbuffered):
+# interpreter flushes once more at exit; "1" makes every print a write.  The
+# dot command on a 100-event chain writes about 150 KB, far past a pipe's
+# buffer.
+@pytest.mark.parametrize(
+    "unbuffered,command",
+    [("", "atoms"), ("1", "atoms"), ("", "dot"), ("1", "dot")],
+    ids=["", "1", "dot-", "dot-1"],
+)
+def test_closed_pipe_exits_one_without_traceback(tmp_path, unbuffered, command):
+    chain = tmp_path / "chain100.sync"
+    chain.write_text("".join(f"e{k} < e{k + 1}\n" for k in range(1, 100)))
+    args, first_line = {
+        "atoms": (["atoms", "20"], b"atom 1:\n"),
+        "dot": (["dot", str(chain)], b"digraph synchronization {\n"),
+    }[command]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "syncalg", "atoms", "20"],
+        [sys.executable, "-m", "syncalg", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
     )
-    assert proc.stdout.readline() == b"atom 1:\n"
+    assert proc.stdout.readline() == first_line
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -1,6 +1,7 @@
 """Tests for the declaration language, interchange JSON, and DOT output."""
 
 import json
+import sys
 
 import pytest
 
@@ -183,6 +184,14 @@ def test_report_interchange_reads_back_as_the_closed_matrix():
         ("[]", None),
         ("not json", None),
         pytest.param("[" * 100000, None, id="nested-past-the-recursion-limit"),
+        pytest.param(
+            '{"events": ["a"], "matrix": [["any"]], "x": ' + "9" * 5000 + "}",
+            None,
+            id="integer-past-the-digit-limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+            ),
+        ),
         ('{"matrix": []}', "events"),
         ('{"events": []}', "events"),
         ('{"events": ["a", "a"]}', "events"),

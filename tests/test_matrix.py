@@ -109,6 +109,9 @@ def test_elementwise_ops_require_matching_labels():
     b = SyncMatrix.unconstrained(("b", "a"))
     with pytest.raises(ValidationError):
         a.union(b)
+    for operate in (lambda: a | 3, lambda: a & None, lambda: a.union(3)):
+        with pytest.raises(TypeError):
+            operate()
 
 
 def test_converse_is_transpose():

@@ -1,0 +1,62 @@
+"""The package's public surface: each name listed once, in its own module.
+
+Every module the package re-exports declares ``__all__``; the package's
+``__all__`` is the oracle's names plus those lists, and a star import of a
+module binds exactly its ``__all__``.
+"""
+
+import importlib
+import inspect
+import types
+
+import pytest
+
+import syncalg
+
+MODULES = ("algebra", "closure", "errors", "format", "matrix")
+
+PUBLIC_NAMES = {
+    "ALL_RELS", "ATOMS", "CANONICAL_SYMBOLS", "DEFAULT_ASSIGNMENT_CEILING",
+    "ENUMERATION_MAX_EVENTS", "LISTING_MAX_EVENTS", "Bound", "ClosureReport",
+    "Constraint", "GuardError", "ImpliedChange", "InterchangeError", "NeqMode",
+    "PairSet", "ParseError", "Rel", "RelGrid", "SyncAlgebraError", "SyncMatrix",
+    "SyncSpec", "ValidationError", "atom_matrices", "atom_of", "boundedness",
+    "close", "default_labels", "enumerate_matrices", "equivalent",
+    "interchange_to_matrix", "matrix_count", "matrix_to_interchange",
+    "matrix_to_spec", "minimal_network", "pairs_of", "parse_spec",
+    "report_to_interchange", "satisfies", "spec_to_matrix", "spec_to_text",
+    "substitute_neq", "to_dot",
+}
+
+
+def module(name):
+    return importlib.import_module(f"syncalg.{name}")
+
+
+def test_package_lists_each_public_name_once():
+    assert len(syncalg.__all__) == len(set(syncalg.__all__))
+    assert set(syncalg.__all__) == PUBLIC_NAMES
+
+
+def test_package_surface_is_the_module_lists_plus_the_oracle():
+    listed = [name for m in MODULES for name in module(m).__all__]
+    assert sorted(listed + sorted(syncalg._ORACLE_NAMES)) == sorted(syncalg.__all__)
+    for m in MODULES:
+        for name in module(m).__all__:
+            assert getattr(syncalg, name) is getattr(module(m), name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_lists_only_what_it_defines(name):
+    for public in module(name).__all__:
+        obj = getattr(module(name), public)
+        if type(obj) is not types.GenericAlias and (inspect.isclass(obj) or inspect.isfunction(obj)):
+            assert obj.__module__ == f"syncalg.{name}", public
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_binds_exactly_the_module_list(name):
+    namespace = {}
+    exec(f"from syncalg.{name} import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == set(module(name).__all__)
