@@ -13,7 +13,7 @@ from syncalg.format import NeqMode, substitute_neq
 from syncalg.matrix import SyncMatrix, default_labels
 from syncalg.oracle import atom_of, minimal_network
 
-from helpers import random_matrix
+from helpers import random_matrix, reference_propagate
 
 
 def chain(*rels):
@@ -96,33 +96,13 @@ def test_fixpoint_is_sweep_order_independent():
         assert shuffled == reference
 
 
-def reference_propagate(cells, pair_order=None):
-    """The closure sweep on Rel operators, kept to check the int kernel."""
-    n = len(cells)
-    if pair_order is None:
-        pair_order = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    passes = 0
-    changed = True
-    while changed:
-        changed = False
-        passes += 1
-        for i, j in pair_order:
-            through = Rel.ANY
-            for k in range(n):
-                if k != i and k != j:
-                    through &= cells[i][k].compose(cells[k][j])
-            narrowed = cells[i][j] & through
-            if narrowed != cells[i][j]:
-                cells[i][j] = narrowed
-                cells[j][i] = narrowed.converse()
-                changed = True
-    return passes
+def planted_matrix(rng, n, density, extra=()):
+    """A satisfiable matrix: each declared cell holds the planted times' atom.
 
-
-def planted_matrix(rng, n, density):
-    """A satisfiable matrix: each declared cell holds the planted times' atom."""
+    ``extra`` entries (i < j) replace whatever was planted at their cells.
+    """
     times = [rng.randrange(n // 2) for _ in range(n)]
-    entries = []
+    entries = {}
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
@@ -130,8 +110,11 @@ def planted_matrix(rng, n, density):
                 rel = rng.choice([r for r in ALL_RELS if r.contains(atom) and r != Rel.ANY])
                 if atom != Rel.EQ and rng.random() < 0.3:
                     rel = Rel.NE
-                entries.append((i, j, rel))
-    return SyncMatrix.from_entries(default_labels(n), entries)
+                entries[i, j] = rel
+    entries.update({(i, j): rel for i, j, rel in extra})
+    return SyncMatrix.from_entries(
+        default_labels(n), [(i, j, rel) for (i, j), rel in entries.items()]
+    )
 
 
 def assert_kernel_matches_reference(m, pair_order=None):
@@ -182,6 +165,47 @@ def test_int_kernel_matches_the_rel_sweep_on_planted_systems():
         m = planted_matrix(rng, 40, rng.uniform(0.1, 0.3))
         assert_kernel_matches_reference(m)
         assert not close(m).deadlocked
+
+
+def test_int_kernel_on_one_and_two_events():
+    assert_kernel_matches_reference(SyncMatrix.unconstrained(("a",)), [])
+    for rel in ALL_RELS:
+        m = SyncMatrix.from_entries(("a", "b"), [(0, 1, rel)])
+        assert_kernel_matches_reference(m)
+        assert_kernel_matches_reference(m, [(1, 0)])
+
+
+def test_int_kernel_matches_the_rel_sweep_on_reversed_and_repeated_pairs():
+    # A reversed pair (j, i) scans row j against row i; a repeated pair
+    # scans again later in the same pass.
+    rng = random.Random(29)
+    for trial in range(120):
+        n = rng.randrange(2, 10)
+        m = random_matrix(rng, n, ALL_RELS if trial % 2 else ALL_RELS + (Rel.ANY,) * 24)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        flipped = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs]
+        repeated = pairs + rng.choices(flipped, k=len(pairs))
+        rng.shuffle(repeated)
+        for order in (flipped, flipped[::-1], repeated):
+            assert_kernel_matches_reference(m, order)
+
+
+@pytest.mark.parametrize(
+    ("n", "extra", "declared_never"),
+    [
+        # A declared never: two rows are dead before the first scan.
+        (40, [(3, 17, Rel.NEVER)], True),
+        # A strict cycle 5 < 17 < 29 < 38 < 5: never appears mid-sweep.
+        (40, [(5, 17, Rel.LT), (17, 29, Rel.LT), (29, 38, Rel.LT), (5, 38, Rel.GT)], False),
+        # Rows of 60 bytes, wider than several machine words.
+        (60, [], False),
+    ],
+)
+def test_int_kernel_matches_the_rel_sweep_on_planted_extremes(n, extra, declared_never):
+    m = planted_matrix(random.Random(31 + n), n, 0.2, extra)
+    assert any(Rel.NEVER in row for row in m.cells) == declared_never
+    assert_kernel_matches_reference(m)
+    assert close(m).deadlocked == bool(extra)
 
 
 def test_deadlock_agrees_with_exhaustive_search():

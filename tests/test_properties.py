@@ -1,4 +1,5 @@
-"""Property tests: the != invariant, format round trips, and CLI robustness.
+"""Property tests: the != invariant, format round trips, the closure kernel
+against the Rel sweep, and CLI robustness.
 
 Every property runs a bounded number of examples from a fixed seed and
 keeps no example database, so every run draws the same examples.
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from syncalg.algebra import CANONICAL_SYMBOLS, Rel
+from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
 from syncalg.cli import main
-from syncalg.closure import close
+from syncalg.closure import _propagate, close
 from syncalg.format import (
     NeqMode,
     interchange_to_matrix,
@@ -24,6 +25,8 @@ from syncalg.format import (
     spec_to_matrix,
     spec_to_text,
 )
+
+from helpers import reference_propagate
 
 NAMES = ("a", "b", "c", "d", "e")
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
@@ -62,6 +65,29 @@ def test_text_and_interchange_round_trips(text):
     assert interchange_to_matrix(matrix_to_interchange(matrix)) == matrix
     report = close(matrix)
     assert interchange_to_matrix(report_to_interchange(report)) == report.closed
+
+
+@st.composite
+def grids_and_pair_orders(draw):
+    """A valid grid of Rel cells over one to eight events, and a permutation of its pairs."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cell = st.one_of(st.just(Rel.ANY), st.sampled_from(ALL_RELS))
+    grid = [[Rel.ANY] * n for _ in range(n)]
+    for i, j in pairs:
+        grid[i][j] = draw(cell)
+        grid[j][i] = grid[i][j].converse()
+    return grid, draw(st.permutations(pairs))
+
+
+@seed(20261020)
+@PROPERTY
+@given(grids_and_pair_orders())
+def test_kernel_equals_the_rel_sweep_in_any_pair_order(case):
+    cells, pair_order = case
+    codes = [list(map(int, row)) for row in cells]
+    assert _propagate(codes, pair_order) == reference_propagate(cells, pair_order)
+    assert codes == cells
 
 
 ARG_TEXT = st.text(
