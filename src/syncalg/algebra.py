@@ -58,7 +58,7 @@ class Rel(enum.IntFlag):
 
     def complement(self) -> "Rel":
         """Atoms not in this relation (Boolean complement within the algebra)."""
-        return Rel(self.value ^ 7)
+        return ALL_RELS[self.value ^ 7]
 
     __invert__ = complement
 
@@ -73,7 +73,7 @@ class Rel(enum.IntFlag):
         operands.  Composing with NEVER yields NEVER: an unsatisfiable
         link admits no time for the middle event at all.
         """
-        return _COMPOSE[self.value][other.value]
+        return ALL_RELS[_COMPOSE[self.value][other.value]]
 
     def contains(self, other: "Rel") -> bool:
         """True when every atom of ``other`` is an atom of ``self``."""
@@ -131,9 +131,8 @@ def _compose_value(a: int, b: int) -> int:
     return out
 
 
-_COMPOSE = tuple(
-    tuple(Rel(_compose_value(a, b)) for b in range(8)) for a in range(8)
-)
+# Int codes, read by Rel.compose and by closure._THROUGH_BYTES.
+_COMPOSE = tuple(tuple(_compose_value(a, b) for b in range(8)) for a in range(8))
 
 
 _BOUND_PHRASES = {

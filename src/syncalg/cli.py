@@ -40,7 +40,7 @@ EXIT_DIFFERENT = 3
 
 def _read_matrix(path: str, neq_as: str) -> SyncMatrix:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
     except (OSError, UnicodeDecodeError) as exc:
         raise SyncAlgebraError(f"cannot read {path}: {exc}") from None
     return spec_to_matrix(parse_spec(text), NeqMode(neq_as))

@@ -21,16 +21,15 @@ This is path consistency (Mackworth 1977): a pass meets each pair
 relation codes (0-7) in place; ``close`` reads the implied cells and
 deadlock pairs off it and builds the closed matrix once.  The kernel
 packs each row into ints, one byte per cell, so one ``bytes.translate``
-through ``_THROUGH_BYTES`` (``_THROUGH[a][b]``, that is
-``compose(a, converse(b))``, at byte a * 8 + b) meets row i against
-row j for every k at once, and three masked compares intersect the
-results.  The k == i and k == j bytes meet the diagonal ``any``, which
-narrows nothing.  Two exact skips replace scans: a pair at ``never``
-cannot narrow, and a pair whose row i or j holds a ``never`` becomes
-``never``, since composing with ``never`` gives ``never``.  On planted
-systems (Python 3.11) the kernel takes about 2.4 ms at n = 40 and
-0.16 s at n = 200, against 6.5 ms and 1.2 s for the cell-by-cell loop
-it replaced.
+through ``_THROUGH_BYTES`` (``compose(a, converse(b))`` at byte
+a * 8 + b) meets row i against row j for every k at once, and three
+masked compares intersect the results.  The k == i and k == j bytes
+meet the diagonal ``any``, which narrows nothing.  Two exact skips
+replace scans: a pair at ``never`` cannot narrow, and a pair whose row
+i or j holds a ``never`` becomes ``never``, since composing with
+``never`` gives ``never``.  On planted systems (Python 3.11) the
+kernel takes about 2.4 ms at n = 40 and 0.16 s at n = 200, against
+6.5 ms and 1.2 s for the cell-by-cell loop it replaced.
 """
 
 from __future__ import annotations
@@ -40,22 +39,17 @@ from collections.abc import Sequence
 from functools import reduce
 from operator import and_
 
-from .algebra import _CONVERSE, ALL_RELS, Bound
+from .algebra import _COMPOSE, _CONVERSE, ALL_RELS, Bound
 from .errors import ValidationError
 from .matrix import SyncMatrix
 
 __all__ = ["ClosureReport", "ImpliedChange", "boundedness", "close", "equivalent"]
 
 
-# Plain-int tables for the kernel: _CONVERSE[r] (from algebra) is r's
-# converse, and _THROUGH[a][b] is what x-to-z may be when x-to-y is a and
-# z-to-y is b.
-_THROUGH = tuple(
-    tuple(int(a.compose(b.converse())) for b in ALL_RELS) for a in ALL_RELS
-)
-# _THROUGH as a bytes.translate table: byte a * 8 + b maps to _THROUGH[a][b].
+# The kernel's bytes.translate table: byte a * 8 + b maps to what x-to-z may
+# be when x-to-y is a and z-to-y is b, compose(a, converse(b)) on int codes.
 # Bytes 64-255 never occur in a scan.
-_THROUGH_BYTES = bytes(_THROUGH[code >> 3][code & 7] for code in range(64)).ljust(256, b"\0")
+_THROUGH_BYTES = bytes(_COMPOSE[code >> 3][_CONVERSE[code & 7]] for code in range(64)).ljust(256, b"\0")
 
 
 class ImpliedChange(namedtuple("ImpliedChange", "i j before after")):
@@ -108,7 +102,7 @@ def _propagate(grid: list[list[int]], pair_order: Sequence[tuple[int, int]]) -> 
                 through = 0
             else:
                 met = (high[i] | low[j]).to_bytes(n, "little").translate(table)
-                met = int.from_bytes(met, "little")  # byte k: _THROUGH[grid[i][k]][grid[j][k]]
+                met = int.from_bytes(met, "little")  # byte k: _THROUGH_BYTES[grid[i][k] * 8 + grid[j][k]]
                 through = cell & ((met & lt == lt) | (met & eq == eq) << 1 | (met & gt == gt) << 2)
                 if through == cell:
                     continue

@@ -75,7 +75,10 @@ def parse_spec(text: str) -> SyncSpec:
     constraints: list[Constraint] = []
     closed_roster = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end only where open() in text mode would end them; splitlines()
+    # would also break inside a comment at a form feed or U+2028.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -139,8 +142,11 @@ def substitute_neq(
 
     Only exact exclusion declarations are rewritten; composite cells that
     merely contain the exclusion's atoms arise from conjunction, not from
-    a written !=, and keep their meaning.
+    a written !=, and keep their meaning.  A mode that is not a NeqMode
+    member, such as its value ``"lt"`` or None, raises ValidationError.
     """
+    if not isinstance(mode, NeqMode):
+        raise ValidationError(f"!= mode must be a NeqMode member, not {mode!r}")
     if mode is NeqMode.KEEP:
         return list(entries)
     replacement = Rel.LT if mode is NeqMode.AS_LT else Rel.GT
@@ -199,15 +205,18 @@ def spec_to_text(spec: SyncSpec) -> str:
     return text
 
 
+def _matrix_document(matrix: SyncMatrix) -> dict:
+    return {
+        "events": list(matrix.labels),
+        "matrix": [list(map(CANONICAL_SYMBOLS.__getitem__, row)) for row in matrix.cells],
+    }
+
+
 def matrix_to_interchange(matrix: SyncMatrix) -> str:
     """JSON document for a bare matrix: events plus the symbol grid."""
     import json
 
-    doc = {
-        "events": list(matrix.labels),
-        "matrix": [list(map(CANONICAL_SYMBOLS.__getitem__, row)) for row in matrix.cells],
-    }
-    return json.dumps(doc)
+    return json.dumps(_matrix_document(matrix))
 
 
 def report_to_interchange(report: ClosureReport) -> str:
@@ -219,9 +228,7 @@ def report_to_interchange(report: ClosureReport) -> str:
     import json
 
     m = report.closed
-    doc = {
-        "events": list(m.labels),
-        "matrix": [list(map(CANONICAL_SYMBOLS.__getitem__, row)) for row in m.cells],
+    doc = _matrix_document(m) | {
         "bounds": [bound.symbol for bound in report.bounds],
         "deadlock": report.deadlocked,
         "deadlock_pairs": [
@@ -301,19 +308,13 @@ def to_dot(report: ClosureReport) -> str:
     dashed.  Backslashes and double quotes in event names are escaped, so
     any label gives valid DOT.
     """
-    m = report.closed
-    names = [name.replace("\\", "\\\\").replace('"', '\\"') for name in m.labels]
+    labels = report.closed.labels
+    escaped = {name: name.replace("\\", "\\\\").replace('"', '\\"') for name in labels}
     lines = ["digraph synchronization {"]
-    for name, bound in zip(names, report.bounds):
+    for name, bound in zip(escaped.values(), report.bounds):
         lines.append(f'  "{name}" [label="{name}\\n[{bound.symbol}]"];')
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            cell = m.cells[i][j]
-            if cell == Rel.ANY:
-                continue
-            style = ", style=dashed" if cell == Rel.NEVER else ""
-            lines.append(
-                f'  "{names[i]}" -> "{names[j]}" [label="{cell.symbol}"{style}];'
-            )
+    for c in matrix_to_spec(report.closed).constraints:
+        style = ", style=dashed" if c.op == "never" else ""
+        lines.append(f'  "{escaped[c.lhs]}" -> "{escaped[c.rhs]}" [label="{c.op}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

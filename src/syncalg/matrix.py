@@ -122,9 +122,7 @@ class SyncMatrix:
 
     @classmethod
     def unconstrained(cls, labels: Iterable[str]) -> "SyncMatrix":
-        labels = tuple(labels)
-        n = len(labels)
-        return cls(labels, [[Rel.ANY] * n for _ in range(n)])
+        return cls.from_entries(labels, ())
 
     @classmethod
     def from_entries(

@@ -219,6 +219,19 @@ def test_non_utf8_file_exits_one(tmp_path, capsys):
     assert f"error: cannot read {path}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["close"], ["close", "--format", "interchange"], ["dot"]])
+def test_byte_order_mark_is_not_part_of_line_one(tmp_path, capsys, args):
+    text = "events a b c\na > b\nb > c\n".encode()
+    outcomes = []
+    for name, data in (("plain.sync", text), ("bom.sync", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code = main([args[0], str(path), *args[1:]])
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["bogus"]) == 1

@@ -19,6 +19,7 @@ from syncalg.format import (
     report_to_interchange,
     spec_to_matrix,
     spec_to_text,
+    substitute_neq,
     to_dot,
 )
 from syncalg.matrix import SyncMatrix
@@ -92,6 +93,26 @@ def test_parse_errors_carry_line_numbers(text, lineno, message):
     assert str(err.value) == f"line {lineno}: {message}"
 
 
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_ends_lines_only_at_newlines(char):
+    # Inside a comment the character is comment text; between two
+    # constraints it is whitespace that joins them into one bad line.
+    spec = parse_spec(f"a < b # note{char}page break\nb < c\n")
+    assert [c.line for c in spec.constraints] == [1, 2]
+    with pytest.raises(ParseError) as err:
+        parse_spec(f"events a b c\na < b{char}b < c\n")
+    assert str(err.value) == "line 2: expected '<name> <relop> <name>'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_parse_counts_lines_for_each_newline_convention(newline):
+    spec = parse_spec(newline.join(["# head", "a < b", "", "b < c", ""]))
+    assert [c.line for c in spec.constraints] == [2, 4]
+    with pytest.raises(ParseError) as err:
+        parse_spec(newline.join(["a < b", "b < c", "b <<< c"]))
+    assert err.value.lineno == 3
+
+
 def test_duplicate_pair_declarations_conjoin():
     m = spec_to_matrix(parse_spec("a <= b\na >= b\n"))
     assert m.cells[0][1] == Rel.EQ
@@ -104,6 +125,17 @@ def test_spec_to_matrix_applies_neq_mode_directionally():
     assert close(spec_to_matrix(spec)).deadlocked is False
     assert close(spec_to_matrix(spec, NeqMode.AS_LT)).deadlocked is True
     assert close(spec_to_matrix(spec, NeqMode.AS_GT)).deadlocked is True
+
+
+@pytest.mark.parametrize("mode", ["keep", "lt", None])
+def test_neq_mode_must_be_a_member(mode):
+    message = f"!= mode must be a NeqMode member, not {mode!r}"
+    with pytest.raises(ValidationError) as err:
+        substitute_neq([(0, 1, Rel.NE)], mode)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        spec_to_matrix(parse_spec("a != b\n"), mode)
+    assert str(err.value) == message
 
 
 def test_matrix_to_spec_lists_constrained_pairs_once():
@@ -172,6 +204,51 @@ def test_report_interchange_content():
     assert doc["iterations"] == 2
 
 
+# A satisfiable system with an implied cell (a"1, c\d), two unconstrained
+# pairs DOT leaves out and labels that need escaping, and a deadlocked one
+# whose every pair collapses to never.
+SATISFIABLE = SyncMatrix.from_entries(
+    ('a"1', "b", "c\\d", "e"), [(0, 1, Rel.GT), (1, 2, Rel.GE), (3, 0, Rel.NE)]
+)
+DEADLOCKED = SyncMatrix.from_entries(
+    ("a", "b", "c", "d"), [(0, 1, Rel.GT), (1, 2, Rel.GT), (2, 0, Rel.GT), (3, 0, Rel.LE)]
+)
+
+
+def test_report_interchange_text_is_pinned():
+    assert report_to_interchange(close(SATISFIABLE)) == json.dumps(
+        {
+            "events": ['a"1', "b", "c\\d", "e"],
+            "matrix": [
+                ["any", ">", ">", "!="],
+                ["<", "any", ">=", "any"],
+                ["<", "<=", "any", "any"],
+                ["!=", "any", "any", "any"],
+            ],
+            "bounds": [">", "never", "<", "!="],
+            "deadlock": False,
+            "deadlock_pairs": [],
+            "implied": [{"pair": ['a"1', "c\\d"], "before": "any", "after": ">"}],
+            "iterations": 2,
+        }
+    )
+    pairs = [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"], ["c", "d"]]
+    assert report_to_interchange(close(DEADLOCKED)) == json.dumps(
+        {
+            "events": ["a", "b", "c", "d"],
+            "matrix": [["any" if i == j else "never" for j in range(4)] for i in range(4)],
+            "bounds": ["never"] * 4,
+            "deadlock": True,
+            "deadlock_pairs": pairs,
+            "implied": [
+                {"pair": pair, "before": before, "after": "never"}
+                for pair, before in zip(pairs, [">", "<", ">=", ">", "any", "any"])
+            ],
+            "iterations": 2,
+        }
+    )
+
+
 def test_report_interchange_reads_back_as_the_closed_matrix():
     m = SyncMatrix.from_entries(("a", "b", "c"), [(0, 1, Rel.GT), (1, 2, Rel.GT)])
     report = close(m)
@@ -238,6 +315,35 @@ def test_dot_output():
     assert '"a" -> "b" [label=">"];' in dot
     assert '"a" -> "c" [label=">"];' in dot
     assert dot.rstrip().endswith("}")
+
+
+def test_dot_text_is_pinned():
+    assert to_dot(close(SATISFIABLE)) == (
+        "digraph synchronization {\n"
+        '  "a\\"1" [label="a\\"1\\n[>]"];\n'
+        '  "b" [label="b\\n[never]"];\n'
+        '  "c\\\\d" [label="c\\\\d\\n[<]"];\n'
+        '  "e" [label="e\\n[!=]"];\n'
+        '  "a\\"1" -> "b" [label=">"];\n'
+        '  "a\\"1" -> "c\\\\d" [label=">"];\n'
+        '  "a\\"1" -> "e" [label="!="];\n'
+        '  "b" -> "c\\\\d" [label=">="];\n'
+        "}\n"
+    )
+    assert to_dot(close(DEADLOCKED)) == (
+        "digraph synchronization {\n"
+        '  "a" [label="a\\n[never]"];\n'
+        '  "b" [label="b\\n[never]"];\n'
+        '  "c" [label="c\\n[never]"];\n'
+        '  "d" [label="d\\n[never]"];\n'
+        '  "a" -> "b" [label="never", style=dashed];\n'
+        '  "a" -> "c" [label="never", style=dashed];\n'
+        '  "a" -> "d" [label="never", style=dashed];\n'
+        '  "b" -> "c" [label="never", style=dashed];\n'
+        '  "b" -> "d" [label="never", style=dashed];\n'
+        '  "c" -> "d" [label="never", style=dashed];\n'
+        "}\n"
+    )
 
 
 def test_dot_marks_deadlocked_pairs():
