@@ -30,7 +30,7 @@ from .format import (
     spec_to_matrix,
     to_dot,
 )
-from .matrix import SyncMatrix, atom_matrices, matrix_count
+from .matrix import SyncMatrix, _gather, atom_matrices, matrix_count
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,8 +55,8 @@ def render_matrix(matrix: SyncMatrix) -> str:
 
     padded = tuple(map(pad, CANONICAL_SYMBOLS))
     lines = ["  ".join([pad("")] + [pad(name) for name in matrix.labels])]
-    for name, row in zip(matrix.labels, matrix.cells):
-        lines.append("  ".join([pad(name), *map(padded.__getitem__, row)]))
+    for name, row in zip(matrix.labels, matrix._code_rows()):
+        lines.append("  ".join([pad(name), *_gather(padded, row)]))
     return "\n".join(lines)
 
 

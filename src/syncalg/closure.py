@@ -124,12 +124,12 @@ def _propagate(grid: list[list[int]], pair_order: Sequence[tuple[int, int]]) -> 
 
 def close(matrix: SyncMatrix) -> ClosureReport:
     """Close the matrix and report implications, bounds, and deadlock."""
-    declared = [bytes(row) for row in matrix.cells]
+    declared = matrix._code_rows()
     grid = [list(row) for row in declared]
     n = len(grid)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     iterations = _propagate(grid, pairs)
-    closed = SyncMatrix(matrix.labels, [map(ALL_RELS.__getitem__, row) for row in grid])
+    closed = SyncMatrix._from_codes(matrix.labels, b"".join(map(bytes, grid)))
     implied = tuple(
         ImpliedChange(i, j, ALL_RELS[declared[i][j]], ALL_RELS[grid[i][j]])
         for i, j in pairs
@@ -155,7 +155,7 @@ def boundedness(matrix: SyncMatrix) -> tuple[Bound, ...]:
     relation: unbounded.
     """
     # The diagonal cell is ANY, so folding it in changes nothing.
-    return tuple(Bound(ALL_RELS[reduce(and_, bytes(row))]) for row in matrix.cells)
+    return tuple(Bound(ALL_RELS[reduce(and_, row)]) for row in matrix._code_rows())
 
 
 def equivalent(p: SyncMatrix, q: SyncMatrix) -> bool:

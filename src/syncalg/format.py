@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from .algebra import _REL_OF_SYMBOL, CANONICAL_SYMBOLS, Rel
 from .closure import ClosureReport
 from .errors import InterchangeError, ParseError, ValidationError
-from .matrix import SyncMatrix
+from .matrix import SyncMatrix, _gather
 
 __all__ = [
     "Constraint",
@@ -53,6 +53,10 @@ __all__ = [
 # that prints text or DOT starts without loading it.
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# Each symbol as json.dumps writes it: none holds a character it escapes.
+_QUOTED = tuple(f'"{symbol}"' for symbol in CANONICAL_SYMBOLS)
+# A named tuple without its Python-level __new__ frame, as _make builds it.
+_tuple_new = tuple.__new__
 
 
 class Constraint(namedtuple("Constraint", "lhs op rhs line")):
@@ -80,6 +84,12 @@ def parse_spec(text: str) -> SyncSpec:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
+        if len(tokens) == 3:
+            # A constraint on two listed events passes every check below.
+            lhs, op, rhs = tokens
+            if lhs in roster and rhs in roster and op in _REL_OF_SYMBOL and lhs != rhs:
+                constraints.append(_tuple_new(Constraint, (lhs, op, rhs, lineno)))
+                continue
         if not tokens:
             continue
         if not roster and tokens[0] == "events" and not _constraint_shaped(tokens):
@@ -109,7 +119,7 @@ def parse_spec(text: str) -> SyncSpec:
             if closed_roster and name not in roster:
                 raise ParseError(lineno, f"event {name!r} not named in the events directive")
             roster[name] = None  # a name already listed keeps its place
-        constraints.append(Constraint(lhs, op, rhs, lineno))
+        constraints.append(_tuple_new(Constraint, (lhs, op, rhs, lineno)))
 
     return SyncSpec(tuple(roster), tuple(constraints))
 
@@ -166,23 +176,27 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
     index = {name: k for k, name in enumerate(spec.events)}
     try:
         entries = [
-            (index[c.lhs], index[c.rhs], Rel.from_symbol(c.op))
-            for c in spec.constraints
+            (index[lhs], index[rhs], _REL_OF_SYMBOL[op])
+            for lhs, op, rhs, _ in spec.constraints
         ]
-    except KeyError as exc:
-        raise ValidationError(f"unknown event {exc.args[0]!r}") from None
+    except (KeyError, TypeError, ValueError):
+        try:  # again declaration by declaration, for the error naming the bad one
+            entries = [(index[c.lhs], index[c.rhs], Rel.from_symbol(c.op)) for c in spec.constraints]
+        except KeyError as exc:
+            raise ValidationError(f"unknown event {exc.args[0]!r}") from None
     return SyncMatrix.from_entries(spec.events, substitute_neq(entries, neq_as))
 
 
 def matrix_to_spec(matrix: SyncMatrix) -> SyncSpec:
     """Declarations recovering the matrix: one per constrained pair above the diagonal."""
+    labels = matrix.labels
     constraints = tuple(
-        Constraint(matrix.labels[i], matrix.cells[i][j].symbol, matrix.labels[j], 0)
-        for i in range(matrix.n)
-        for j in range(i + 1, matrix.n)
-        if matrix.cells[i][j] != Rel.ANY
+        _tuple_new(Constraint, (labels[i], CANONICAL_SYMBOLS[code], labels[j], 0))
+        for i, row in enumerate(matrix._code_rows())
+        for j, code in enumerate(row[i + 1 :], i + 1)
+        if code != 7  # any: unconstrained
     )
-    return SyncSpec(matrix.labels, constraints)
+    return SyncSpec(labels, constraints)
 
 
 def spec_to_text(spec: SyncSpec) -> str:
@@ -205,18 +219,12 @@ def spec_to_text(spec: SyncSpec) -> str:
     return text
 
 
-def _matrix_document(matrix: SyncMatrix) -> dict:
-    return {
-        "events": list(matrix.labels),
-        "matrix": [list(map(CANONICAL_SYMBOLS.__getitem__, row)) for row in matrix.cells],
-    }
-
-
 def matrix_to_interchange(matrix: SyncMatrix) -> str:
     """JSON document for a bare matrix: events plus the symbol grid."""
     import json
 
-    return json.dumps(_matrix_document(matrix))
+    rows = ", ".join(f"[{', '.join(_gather(_QUOTED, row))}]" for row in matrix._code_rows())
+    return f'{{"events": {json.dumps(matrix.labels)}, "matrix": [{rows}]}}'
 
 
 def report_to_interchange(report: ClosureReport) -> str:
@@ -228,7 +236,7 @@ def report_to_interchange(report: ClosureReport) -> str:
     import json
 
     m = report.closed
-    doc = _matrix_document(m) | {
+    doc = {
         "bounds": [bound.symbol for bound in report.bounds],
         "deadlock": report.deadlocked,
         "deadlock_pairs": [
@@ -244,7 +252,8 @@ def report_to_interchange(report: ClosureReport) -> str:
         ],
         "iterations": report.iterations,
     }
-    return json.dumps(doc)
+    # The matrix document's members first, as json.dumps would join the two.
+    return matrix_to_interchange(m)[:-1] + ", " + json.dumps(doc)[1:]
 
 
 def interchange_to_matrix(text: str) -> SyncMatrix:
@@ -285,19 +294,17 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise InterchangeError("matrix", f"every row must hold {n} symbols")
     try:
-        # Lazy rows: the constructor builds the tuple grid without a
-        # second n-by-n list beside the decoded document.
-        return SyncMatrix(events, map(_relations, rows))
+        return SyncMatrix._from_codes(events, b"".join(map(_codes, rows)))
     except ValidationError as exc:
         raise InterchangeError("matrix", str(exc)) from None
 
 
-def _relations(row: list) -> tuple[Rel, ...]:
+def _codes(row: list) -> bytes:
     try:
-        return tuple(map(_REL_OF_SYMBOL.__getitem__, row))
+        return bytes(_gather(_REL_OF_SYMBOL, row))
     except (KeyError, TypeError):
         # Redo the row symbol by symbol for the error naming the bad one.
-        return tuple(map(Rel.from_symbol, row))
+        return bytes(map(Rel.from_symbol, row))
 
 
 def to_dot(report: ClosureReport) -> str:

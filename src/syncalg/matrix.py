@@ -8,23 +8,23 @@ the diagonal therefore carry all the information; with p = (n*n - n) / 2
 of them and eight relations each there are exactly 8**p distinct
 matrices on a fixed label list.
 
-The grid type is deliberately dumb: tuples of tuples of :class:`Rel`.
-Element-wise complement leaves the invariants (it destroys the diagonal),
-so it returns a raw grid rather than a matrix.
+A matrix stores its grid as one ``bytes`` of n*n relation codes (0-7,
+the values of :class:`Rel`), row by row; builders, operators, closure and
+writers work on those codes, and the ``cells`` grid of ``Rel`` (tuples of
+tuples) is built on first read.  Element-wise complement leaves the
+invariants (it destroys the diagonal), so it returns a raw ``Rel`` grid.
 
-The constructor checks the invariants row by row, not cell by cell: the
-grid is copied once into a ``bytes`` string of relation codes, each of
-which must be below 8, and row i must have the full relation at i and,
-mapped through a converse translation table, equal column i.  A failed
-check is searched cell by cell only within what failed (the grid for a
-bad cell, one row for a converse pair) to name the first fault.
+Every matrix, from the constructor or an internal builder, has its codes
+checked row by row: each must be below 8, and row i must have the full
+relation at i and, mapped through a converse translation table, equal
+column i.  Only what failed is searched cell by cell to name the fault.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 from .algebra import _CONVERSE, ALL_RELS, ATOMS, Rel
 from .errors import GuardError, ValidationError
@@ -42,11 +42,12 @@ __all__ = [
 
 RelGrid = tuple[tuple[Rel, ...], ...]
 
-# The eight relation codes, and the converse map as a bytes.translate
-# table (which must have 256 entries; _check_grid rejects any grid with
-# a code from 8 up before the table is read).
+# The eight relation codes, and the converse and complement maps as
+# bytes.translate tables (which must have 256 entries; a grid with a code
+# from 8 up is rejected before the converse table is read).
 _CODES = bytes(range(8))
 _CONVERSE_BYTES = bytes(_CONVERSE) + bytes(range(8, 256))
+_COMPLEMENT_BYTES = bytes(code ^ 7 for code in range(256))
 
 # Full enumeration above four events would mean 8**10 and more matrices.
 ENUMERATION_MAX_EVENTS = 4
@@ -60,41 +61,68 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{k + 1}" for k in range(n))
 
 
+def _gather(seq, keys) -> tuple:
+    """``tuple(seq[k] for k in keys)`` in one C-level call."""
+    if len(keys) < 2:  # itemgetter takes a key and returns a bare item for one
+        return tuple(seq[k] for k in keys)
+    return itemgetter(*keys)(seq)
+
+
 class SyncMatrix:
     """Pairwise relation grid plus the event names indexing it.
 
     Labels and rows may be given as any sequences: the constructor stores
-    them as tuples and is the one place the invariants are checked.  A
-    matrix is immutable and compares and hashes by value; pickling and
-    copying go back through the constructor.
+    the labels as a tuple and the cells as relation codes, and checks the
+    invariants.  A matrix is immutable and compares and hashes by value;
+    pickling and copying go back through the constructor.
     """
 
-    __slots__ = ("labels", "cells")
+    __slots__ = ("labels", "_codes", "_cells")
     __match_args__ = ("labels", "cells")
     labels: tuple[str, ...]
-    cells: RelGrid
 
     def __init__(self, labels: Iterable[str], cells: Iterable[Iterable[Rel]]):
-        try:
-            labels = tuple(labels)
-        except TypeError:
-            raise ValidationError("event labels must be a sequence of strings") from None
+        labels = _checked_labels(labels)
         n = len(labels)
-        if n < 1:
-            raise ValidationError("a matrix needs at least one event")
-        if not all(isinstance(name, str) for name in labels):
-            raise ValidationError("event labels must be a sequence of strings")
-        if len(set(labels)) != n:
-            raise ValidationError("event labels must be distinct")
         try:
             cells = tuple(map(tuple, cells))
         except TypeError:
             raise ValidationError(f"cell grid must be {n}x{n}") from None
         if len(cells) != n or any(len(row) != n for row in cells):
             raise ValidationError(f"cell grid must be {n}x{n}")
-        _check_grid(cells)
+        try:
+            typed = all(set(map(type, row)) == {Rel} for row in cells)
+            codes = b"".join(map(bytes, cells)) if typed else b"\xff"
+        except ValueError:  # a Rel code from 256 up
+            codes = b"\xff"
+        if codes.translate(None, _CODES):  # deleting the eight codes leaves something
+            bad = next(c for row in cells for c in row if type(c) is not Rel or c not in ALL_RELS)
+            raise ValidationError(f"cell {bad!r} is not a relation")
+        self._adopt(labels, codes)
+
+    @classmethod
+    def _from_codes(cls, labels: Iterable[str], codes: bytes) -> "SyncMatrix":
+        """Build from n*n row-major relation codes, with the constructor's checks."""
+        self = object.__new__(cls)
+        self._adopt(_checked_labels(labels), bytes(codes))
+        return self
+
+    def _adopt(self, labels: tuple[str, ...], codes: bytes) -> None:
+        _check_codes(codes, len(labels))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_cells", None)
+
+    @property
+    def cells(self) -> RelGrid:
+        """The grid as tuples of ``Rel``, built on first read."""
+        if self._cells is None:
+            object.__setattr__(self, "_cells", tuple(_gather(ALL_RELS, row) for row in self._code_rows()))
+        return self._cells
+
+    def _code_rows(self) -> list[bytes]:
+        n, codes = len(self.labels), self._codes
+        return [codes[k : k + n] for k in range(0, n * n, n)]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -105,10 +133,10 @@ class SyncMatrix:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.labels, self.cells) == (other.labels, other.cells)
+        return (self.labels, self._codes) == (other.labels, other._codes)
 
     def __hash__(self):
-        return hash((self.labels, self.cells))
+        return hash((self.labels, self._codes))
 
     def __repr__(self):
         return f"SyncMatrix(labels={self.labels!r}, cells={self.cells!r})"
@@ -137,18 +165,18 @@ class SyncMatrix:
         """
         labels = tuple(labels)
         n = len(labels)
-        grid = [[Rel.ANY.value] * n for _ in range(n)]
+        grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
         for i, j, rel in entries:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(f"event index ({i},{j}) out of range for {n} events")
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
+                _check_pair("event index", i, j, n)
             if i == j:
                 raise ValidationError(f"event {labels[i]!r} cannot constrain itself")
             if not isinstance(rel, Rel) or rel not in ALL_RELS:
                 raise ValidationError(f"entry relation {rel!r} is not a relation")
             code = int(rel)
-            grid[i][j] &= code
-            grid[j][i] &= _CONVERSE[code]
-        return cls(labels, [tuple(map(ALL_RELS.__getitem__, row)) for row in grid])
+            grid[i * n + j] &= code
+            grid[j * n + i] &= _CONVERSE[code]
+        return cls._from_codes(labels, grid)
 
     def index_of(self, name: str) -> int:
         try:
@@ -157,9 +185,9 @@ class SyncMatrix:
             raise ValidationError(f"unknown event {name!r}") from None
 
     def cell(self, i: int, j: int) -> Rel:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValidationError(f"cell ({i},{j}) out of range for {self.n} events")
-        return self.cells[i][j]
+        n = self.n
+        _check_pair("cell", i, j, n)
+        return ALL_RELS[self._codes[i * n + j]]
 
     def union(self, other: "SyncMatrix") -> "SyncMatrix":
         """Cell-wise union; the invariants survive because converse distributes."""
@@ -173,52 +201,71 @@ class SyncMatrix:
             raise TypeError(f"matrix operand must be a SyncMatrix, not {type(other).__name__}")
         if self.labels != other.labels:
             raise ValidationError("matrix operands must share the same event labels")
-        return SyncMatrix(self.labels, [map(op, ra, rb) for ra, rb in zip(self.cells, other.cells)])
+        # One bitwise op on the grids read as ints is the op on every cell.
+        size = len(self._codes)
+        a, b = (int.from_bytes(m._codes, "little") for m in (self, other))
+        return SyncMatrix._from_codes(self.labels, op(a, b).to_bytes(size, "little"))
 
     __or__ = union
     __and__ = intersect
 
     def converse(self) -> "SyncMatrix":
         """Cell-wise converse, which by converse antisymmetry is the transpose."""
-        return SyncMatrix(self.labels, zip(*self.cells))
+        n, codes = self.n, self._codes
+        return SyncMatrix._from_codes(self.labels, b"".join(codes[k::n] for k in range(n)))
 
     def complement_cells(self) -> RelGrid:
         """Cell-wise complement, as a raw grid: the diagonal becomes NEVER."""
-        return tuple(tuple(c.complement() for c in row) for row in self.cells)
+        return tuple(_gather(ALL_RELS, row.translate(_COMPLEMENT_BYTES)) for row in self._code_rows())
 
     def swap_events(self, i: int, j: int) -> "SyncMatrix":
         """Exchange two events: labels, rows, and columns move together."""
         n = self.n
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"event pair ({i},{j}) out of range for {n} events")
+        _check_pair("event pair", i, j, n)
         order = list(range(n))
         order[i], order[j] = order[j], order[i]
         return self._reordered(order)
 
     def _reordered(self, order: list[int]) -> "SyncMatrix":
         """Event order[k] of this matrix becomes event k of the result."""
-
-        def pick(seq):
-            return tuple(map(seq.__getitem__, order))
-
-        return SyncMatrix(pick(self.labels), [pick(row) for row in pick(self.cells)])
+        rows = self._code_rows()
+        codes = b"".join(bytes(_gather(rows[k], order)) for k in order)
+        return SyncMatrix._from_codes(_gather(self.labels, order), codes)
 
 
-def _check_grid(cells: RelGrid) -> None:
-    """Check a square grid's invariants; raises on the first fault.
-
-    Faults are reported in scan order: any non-relation cell first, then
-    row by row the diagonal cell followed by that row's converse pairs.
-    """
-    n = len(cells)
+def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
     try:
-        typed = all(set(map(type, row)) == {Rel} for row in cells)
-        codes = b"".join(map(bytes, cells)) if typed else b"\xff"
-    except ValueError:  # a Rel code from 256 up
-        codes = b"\xff"
-    if codes.translate(None, _CODES):  # deleting the eight codes leaves something
-        bad = next(c for row in cells for c in row if type(c) is not Rel or c not in ALL_RELS)
-        raise ValidationError(f"cell {bad!r} is not a relation")
+        labels = tuple(labels)
+    except TypeError:
+        raise ValidationError("event labels must be a sequence of strings") from None
+    if not labels:
+        raise ValidationError("a matrix needs at least one event")
+    if not all(isinstance(name, str) for name in labels):
+        raise ValidationError("event labels must be a sequence of strings")
+    if len(set(labels)) != len(labels):
+        raise ValidationError("event labels must be distinct")
+    return labels
+
+
+def _check_pair(what: str, i, j, n: int) -> None:
+    """Raise unless i and j are integer event indices below n."""
+    if not (isinstance(i, int) and isinstance(j, int)):
+        raise ValidationError(f"{what} ({i!r},{j!r}) must be integers")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValidationError(f"{what} ({i},{j}) out of range for {n} events")
+
+
+def _check_codes(codes: bytes, n: int) -> None:
+    """Check a row-major code grid's invariants; raises on the first fault.
+
+    Faults are reported in scan order: any code that is not a relation
+    first, then row by row the diagonal cell followed by that row's
+    converse pairs.
+    """
+    if len(codes) != n * n:
+        raise ValidationError(f"cell grid must be {n}x{n}")
+    if bad := codes.translate(None, _CODES):  # the codes from 8 up, in grid order
+        raise ValidationError(f"cell {Rel(bad[0])!r} is not a relation")
     for i in range(n):
         row = codes[i * n : i * n + n]
         if row[i] != Rel.ANY:
@@ -229,8 +276,14 @@ def _check_grid(cells: RelGrid) -> None:
             raise ValidationError(f"cells ({i},{j}) and ({j},{i}) are not converses")
 
 
+def _check_count(n) -> None:
+    if not isinstance(n, int):
+        raise ValidationError(f"event count {n!r} is not an integer")
+
+
 def matrix_count(n: int) -> int:
     """Number of distinct matrices on n events: 8 ** ((n*n - n) / 2)."""
+    _check_count(n)
     if n < 1:
         raise ValidationError("a matrix needs at least one event")
     if n > LISTING_MAX_EVENTS:
@@ -245,22 +298,21 @@ def atom_matrices(n: int) -> list[SyncMatrix]:
     leaves every other pair empty.  Every matrix is the union of the
     atoms it dominates, so these generate the lattice.
     """
+    _check_count(n)
     if n < 2:
         raise ValidationError("atoms need at least two events")
     if n > LISTING_MAX_EVENTS:
         raise GuardError(f"atom listing is limited to {LISTING_MAX_EVENTS} events")
     labels = default_labels(n)
+    empty = bytes(7 if k % (n + 1) == 0 else 0 for k in range(n * n))  # ANY on the diagonal only
     out = []
     for i in range(n):
         for j in range(i + 1, n):
             for atom in ATOMS:
-                grid = [
-                    [Rel.ANY if a == b else Rel.NEVER for b in range(n)]
-                    for a in range(n)
-                ]
-                grid[i][j] = atom
-                grid[j][i] = atom.converse()
-                out.append(SyncMatrix(labels, grid))
+                grid = bytearray(empty)
+                grid[i * n + j] = atom
+                grid[j * n + i] = _CONVERSE[atom]
+                out.append(SyncMatrix._from_codes(labels, grid))
     return out
 
 
@@ -270,6 +322,7 @@ def enumerate_matrices(n: int) -> Iterator[SyncMatrix]:
     Guarded to small n: the count grows as 8 ** ((n*n - n) / 2), which is
     already 8**10 at five events.
     """
+    _check_count(n)
     if not (2 <= n <= ENUMERATION_MAX_EVENTS):
         raise ValidationError(
             f"full enumeration is limited to 2..{ENUMERATION_MAX_EVENTS} events"
@@ -280,9 +333,9 @@ def enumerate_matrices(n: int) -> Iterator[SyncMatrix]:
 def _enumerate(n: int) -> Iterator[SyncMatrix]:
     labels = default_labels(n)
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for combo in itertools.product(ALL_RELS, repeat=len(slots)):
-        grid = [[Rel.ANY] * n for _ in range(n)]
-        for (i, j), rel in zip(slots, combo):
-            grid[i][j] = rel
-            grid[j][i] = rel.converse()
-        yield SyncMatrix(labels, grid)
+    for combo in itertools.product(range(8), repeat=len(slots)):
+        grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
+        for (i, j), code in zip(slots, combo):
+            grid[i * n + j] = code
+            grid[j * n + i] = _CONVERSE[code]
+        yield SyncMatrix._from_codes(labels, grid)

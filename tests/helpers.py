@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
 import random
+import re
 
-from syncalg.algebra import ALL_RELS, Rel
+from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
+from syncalg.errors import ParseError
+from syncalg.format import Constraint, SyncSpec
 from syncalg.matrix import SyncMatrix, default_labels
 
 
@@ -38,3 +41,47 @@ def reference_propagate(cells, pair_order=None):
                 cells[j][i] = narrowed.converse()
                 changed = True
     return passes
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def reference_parse_spec(text):
+    """parse_spec with every line through every check, kept to check its fast path."""
+    roster = {}
+    constraints = []
+    closed_roster = False
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        constraint_shaped = len(tokens) == 3 and tokens[1] in CANONICAL_SYMBOLS
+        if not roster and tokens[0] == "events" and not constraint_shaped:
+            if len(tokens) < 2:
+                raise ParseError(lineno, "events directive names no events")
+            for name in tokens[1:]:
+                if not _NAME_RE.match(name):
+                    raise ParseError(lineno, f"invalid event name {name!r}")
+                if name in roster:
+                    raise ParseError(lineno, f"event {name!r} listed twice")
+                roster[name] = None
+            closed_roster = True
+            continue
+        if len(tokens) != 3:
+            raise ParseError(lineno, "expected '<name> <relop> <name>'")
+        lhs, op, rhs = tokens
+        if lhs not in roster and not _NAME_RE.match(lhs):
+            raise ParseError(lineno, f"invalid event name {lhs!r}")
+        if rhs not in roster and not _NAME_RE.match(rhs):
+            raise ParseError(lineno, f"invalid event name {rhs!r}")
+        if op not in CANONICAL_SYMBOLS:
+            raise ParseError(lineno, f"unknown relation symbol {op!r}")
+        if lhs == rhs:
+            raise ParseError(lineno, f"event {lhs!r} cannot be synchronized with itself")
+        for name in (lhs, rhs):
+            if closed_roster and name not in roster:
+                raise ParseError(lineno, f"event {name!r} not named in the events directive")
+            roster[name] = None
+        constraints.append(Constraint(lhs, op, rhs, lineno))
+    return SyncSpec(tuple(roster), tuple(constraints))

@@ -168,6 +168,22 @@ def test_spec_to_matrix_rejects_an_event_missing_from_the_roster():
         spec_to_matrix(spec)
 
 
+@pytest.mark.parametrize(
+    "constraints,message",
+    [
+        ([("a", "<<", "b"), ("a", "<", "c")], "unknown relation symbol '<<'"),
+        ([("a", "<", "b"), ("z", "<<", "b")], "unknown event 'z'"),
+        ([("a", "<", "b"), ("a", ["<"], "b")], "unknown relation symbol ['<']"),
+        ([("a", Rel.LT, "b")], "unknown relation symbol <Rel.LT: 1>"),
+    ],
+)
+def test_spec_to_matrix_names_the_first_bad_declaration(constraints, message):
+    spec = SyncSpec(("a", "b"), tuple(Constraint(*c, 0) for c in constraints))
+    with pytest.raises(ValidationError) as caught:
+        spec_to_matrix(spec)
+    assert str(caught.value) == message
+
+
 def test_spec_to_text_rejects_a_label_the_language_cannot_hold():
     m = SyncMatrix.from_entries(("a b", "c"), [(0, 1, Rel.LT)])
     with pytest.raises(ValidationError, match="does not read back"):

@@ -1,7 +1,9 @@
 """Unit tests for synchronization matrices."""
 
+import pickle
 import random
 import re
+from operator import and_, or_
 
 import pytest
 
@@ -361,3 +363,124 @@ def test_from_entries_agrees_with_rel_level_conjunction():
 def test_one_event_matrix_swaps_with_itself():
     m = SyncMatrix(("solo",), ((Rel.ANY,),))
     assert m.swap_events(0, 0) == m
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SyncMatrix.from_entries(("a", "b"), [(0.0, 1, Rel.LT)]),
+        lambda: SyncMatrix.from_entries(("a", "b"), [(0, 1.0, Rel.LT)]),
+        lambda: SyncMatrix.from_entries(("a", "b"), [("0", 1, Rel.LT)]),
+        lambda: SyncMatrix.from_entries(("a", "b"), [(None, 1, Rel.LT)]),
+        lambda: SyncMatrix.unconstrained(("a", "b")).swap_events(0.0, 1),
+        lambda: SyncMatrix.unconstrained(("a", "b")).swap_events(0, "1"),
+        lambda: SyncMatrix.unconstrained(("a", "b")).cell(0.5, 1),
+        lambda: SyncMatrix.unconstrained(("a", "b")).cell(0, 1.0),
+    ],
+)
+def test_non_integer_event_indices_are_rejected(build):
+    with pytest.raises(ValidationError, match="must be integers"):
+        build()
+
+
+def test_boolean_event_indices_are_integers():
+    m = SyncMatrix.from_entries(("a", "b"), [(False, True, Rel.LT)])
+    assert m == SyncMatrix.from_entries(("a", "b"), [(0, 1, Rel.LT)])
+    assert m.cell(True, False) == Rel.GT
+    assert m.swap_events(False, True) == m.swap_events(0, 1)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "3", None])
+def test_event_counts_must_be_integers(count):
+    for listing in (matrix_count, atom_matrices, enumerate_matrices):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            listing(count)
+
+
+# Test-local references on Rel grids for the code-grid storage.
+
+
+def _rel_grid_from_entries(n, entries):
+    grid = [[Rel.ANY] * n for _ in range(n)]
+    for i, j, rel in entries:
+        grid[i][j] &= rel
+        grid[j][i] &= rel.converse()
+    return grid
+
+
+def _rel_grid_reordered(cells, order):
+    return [[cells[a][b] for b in order] for a in order]
+
+
+def _rel_grid_cellwise(op, p, q):
+    return [[op(a, b) for a, b in zip(rp, rq)] for rp, rq in zip(p, q)]
+
+
+def _as_tuples(grid):
+    return tuple(map(tuple, grid))
+
+
+def test_code_grid_operations_agree_with_rel_grid_references():
+    rng = random.Random(41)
+    for case in range(480):
+        n = 1 + case % 12
+        labels = default_labels(n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        # Draws favour never and repeat pairs, so conjunction collapses cells too.
+        entries = [
+            (*rng.choice(pairs), rng.choice(ALL_RELS + (Rel.NEVER,) * 2))
+            for _ in range(rng.randrange(2 * n * n + 1) if pairs else 0)
+        ]
+        entries += entries[: rng.randrange(len(entries) + 1)]
+        m = SyncMatrix.from_entries(labels, entries)
+        assert m.cells == _as_tuples(_rel_grid_from_entries(n, entries))
+        other = random_matrix(rng, n)
+
+        i, j = rng.randrange(n), rng.randrange(n)
+        order = list(range(n))
+        order[i], order[j] = order[j], order[i]
+        swapped = m.swap_events(i, j)
+        assert swapped.labels == tuple(labels[k] for k in order)
+        assert swapped.cells == _as_tuples(_rel_grid_reordered(m.cells, order))
+        shuffled = rng.sample(range(n), n)
+        reordered = m._reordered(shuffled)
+        assert reordered.labels == tuple(labels[k] for k in shuffled)
+        assert reordered.cells == _as_tuples(_rel_grid_reordered(m.cells, shuffled))
+
+        assert (m | other).cells == _as_tuples(_rel_grid_cellwise(or_, m.cells, other.cells))
+        assert (m & other).cells == _as_tuples(_rel_grid_cellwise(and_, m.cells, other.cells))
+        assert m.converse().cells == _as_tuples(zip(*m.cells))
+        assert m.complement_cells() == tuple(tuple(~c for c in row) for row in m.cells)
+        for result in (m, swapped, reordered, m | other, m & other, m.converse()):
+            assert all(type(c) is Rel for row in result.cells for c in row)
+            assert [result.cell(a, b) for a in range(n) for b in range(n)] == [
+                c for row in result.cells for c in row
+            ]
+
+
+def test_matrices_are_values_of_their_labels_and_cells():
+    rng = random.Random(43)
+    for n in range(1, 13):
+        m = random_matrix(rng, n).swap_events(0, n - 1)
+        again = SyncMatrix(m.labels, m.cells)
+        assert again == m and hash(again) == hash(m)
+        assert pickle.loads(pickle.dumps(m)) == m
+        assert all(type(c) is Rel for row in m.cells for c in row)
+        assert m.cells is m.cells  # built once
+
+
+@pytest.mark.parametrize(
+    "codes,message",
+    [
+        (b"\x07\x01\x04", "cell grid must be 2x2"),
+        (b"\x07\x01\x04\x07\x00", "cell grid must be 2x2"),
+        (b"\x07\x09\x04\x07", "is not a relation"),
+        (b"\x02\x01\x04\x07", "diagonal cells must be the full relation"),
+        (b"\x07\x01\x01\x07", r"cells \(0,1\) and \(1,0\) are not converses"),
+    ],
+)
+def test_internal_builder_makes_the_constructor_checks(codes, message):
+    with pytest.raises(ValidationError, match=message):
+        SyncMatrix._from_codes(("a", "b"), codes)
+    with pytest.raises(ValidationError, match="distinct"):
+        SyncMatrix._from_codes(("a", "a"), b"\x07\x07\x07\x07")

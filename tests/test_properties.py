@@ -1,5 +1,5 @@
-"""Property tests: the != invariant, format round trips, the closure kernel
-against the Rel sweep, and CLI robustness.
+"""Property tests: the != invariant, format round trips, the parser and the
+closure kernel against their references, and CLI robustness.
 
 Every property runs a bounded number of examples from a fixed seed and
 keeps no example database, so every run draws the same examples.
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
 from syncalg.cli import main
 from syncalg.closure import _propagate, close
+from syncalg.errors import ParseError
 from syncalg.format import (
     NeqMode,
     interchange_to_matrix,
@@ -26,7 +27,7 @@ from syncalg.format import (
     spec_to_text,
 )
 
-from helpers import reference_propagate
+from helpers import reference_parse_spec, reference_propagate
 
 NAMES = ("a", "b", "c", "d", "e")
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
@@ -65,6 +66,44 @@ def test_text_and_interchange_round_trips(text):
     assert interchange_to_matrix(matrix_to_interchange(matrix)) == matrix
     report = close(matrix)
     assert interchange_to_matrix(report_to_interchange(report)) == report.closed
+
+
+TOKENS = st.sampled_from(
+    [*NAMES, *CANONICAL_SYMBOLS, "f", "events", "#", "#a", "1a", "a-b", "<<", "a<b", "\t", "\r"]
+)
+
+
+@st.composite
+def mutated_spec_texts(draw):
+    """spec_texts with a few tokens inserted, replaced or put at the start of line 2,
+    or a line's last token replaced by its first."""
+    lines = [line.split(" ") for line in draw(spec_texts()).split("\n")]
+    for _ in range(draw(st.integers(0, 3))):
+        words = lines[draw(st.integers(0, len(lines) - 1))]
+        where = draw(st.sampled_from(["insert", "replace", "line 2", "self"]))
+        if where == "self":
+            words[-1] = words[0]
+        elif where == "line 2":
+            lines[min(1, len(lines) - 1)].insert(0, draw(TOKENS))
+        elif where == "insert":
+            words.insert(draw(st.integers(0, len(words))), draw(TOKENS))
+        else:
+            words[draw(st.integers(0, len(words) - 1))] = draw(TOKENS)
+    return "\n".join(" ".join(words) for words in lines)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.lineno, str(exc)
+
+
+@seed(20261021)
+@settings(max_examples=600, deadline=None, database=None)
+@given(mutated_spec_texts())
+def test_parser_agrees_with_the_line_by_line_reference(text):
+    assert parse_outcome(parse_spec, text) == parse_outcome(reference_parse_spec, text)
 
 
 @st.composite
