@@ -81,9 +81,9 @@ def parse_spec(text: str) -> SyncSpec:
 
     # Lines end only where open() in text mode would end them; splitlines()
     # would also break inside a comment at a form feed or U+2028.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(re.sub(r"#[^\n]*", "", text).split("\n"), start=1):
+        tokens = line.split()
         if len(tokens) == 3:
             # A constraint on two listed events passes every check below.
             lhs, op, rhs = tokens
@@ -92,7 +92,9 @@ def parse_spec(text: str) -> SyncSpec:
                 continue
         if not tokens:
             continue
-        if not roster and tokens[0] == "events" and not _constraint_shaped(tokens):
+        # "events < done" constrains an event named "events": no directive.
+        shaped = len(tokens) == 3 and tokens[1] in CANONICAL_SYMBOLS
+        if not roster and tokens[0] == "events" and not shaped:
             if len(tokens) < 2:
                 raise ParseError(lineno, "events directive names no events")
             for name in tokens[1:]:
@@ -124,12 +126,6 @@ def parse_spec(text: str) -> SyncSpec:
     return SyncSpec(tuple(roster), tuple(constraints))
 
 
-def _constraint_shaped(tokens: list[str]) -> bool:
-    # "events < done" is a constraint on an event named "events", not a
-    # directive; only the token shape can tell the two readings apart.
-    return len(tokens) == 3 and tokens[1] in CANONICAL_SYMBOLS
-
-
 class NeqMode(enum.Enum):
     """Treatment of declared exclusions (!=) ahead of closure.
 
@@ -142,6 +138,13 @@ class NeqMode(enum.Enum):
     KEEP = "keep"
     AS_LT = "lt"
     AS_GT = "gt"
+
+
+# The int code each symbol declares under each != policy (Rel's & is slow).
+_CODE_OF_SYMBOL = {
+    mode: {**dict(zip(CANONICAL_SYMBOLS, range(8))), "!=": rel.value}
+    for mode, rel in ((NeqMode.KEEP, Rel.NE), (NeqMode.AS_LT, Rel.LT), (NeqMode.AS_GT, Rel.GT))
+}
 
 
 def substitute_neq(
@@ -160,10 +163,7 @@ def substitute_neq(
     if mode is NeqMode.KEEP:
         return list(entries)
     replacement = Rel.LT if mode is NeqMode.AS_LT else Rel.GT
-    return [
-        (i, j, replacement if rel == Rel.NE else rel)
-        for i, j, rel in entries
-    ]
+    return [(i, j, replacement if rel == Rel.NE else rel) for i, j, rel in entries]
 
 
 def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix:
@@ -174,17 +174,27 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
     no longer remembers whether a or b was written first.
     """
     index = {name: k for k, name in enumerate(spec.events)}
+    labels = tuple(spec.events)
+    n = len(labels)
+    grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
     try:
-        entries = [
-            (index[lhs], index[rhs], _REL_OF_SYMBOL[op])
-            for lhs, op, rhs, _ in spec.constraints
-        ]
+        code_of = _CODE_OF_SYMBOL[neq_as]
+        for lhs, op, rhs, _ in spec.constraints:
+            i, j = index[lhs], index[rhs]
+            if i == j:
+                raise ValueError("self-constraint")
+            grid[i * n + j] &= code_of[op]
     except (KeyError, TypeError, ValueError):
-        try:  # again declaration by declaration, for the error naming the bad one
-            entries = [(index[c.lhs], index[c.rhs], Rel.from_symbol(c.op)) for c in spec.constraints]
-        except KeyError as exc:
-            raise ValidationError(f"unknown event {exc.args[0]!r}") from None
-    return SyncMatrix.from_entries(spec.events, substitute_neq(entries, neq_as))
+        entries = []  # again declaration by declaration, for the error naming the bad one
+        for c in spec.constraints:
+            try:
+                entries.append((index[c.lhs], index[c.rhs], Rel.from_symbol(c.op)))
+            except KeyError as exc:
+                raise ValidationError(f"unknown event {exc.args[0]!r}") from None
+            except (AttributeError, TypeError):
+                raise ValidationError(f"malformed declaration {c!r}") from None
+        return SyncMatrix.from_entries(labels, substitute_neq(entries, neq_as))
+    return SyncMatrix._from_declared(labels, grid)
 
 
 def matrix_to_spec(matrix: SyncMatrix) -> SyncSpec:

@@ -11,8 +11,10 @@ matrices on a fixed label list.
 A matrix stores its grid as one ``bytes`` of n*n relation codes (0-7,
 the values of :class:`Rel`), row by row; builders, operators, closure and
 writers work on those codes, and the ``cells`` grid of ``Rel`` (tuples of
-tuples) is built on first read.  Element-wise complement leaves the
-invariants (it destroys the diagonal), so it returns a raw ``Rel`` grid.
+tuples) is built on first read.  Builders conjoin each declaration at
+(i, j) only, then meet the grid with its transpose read through the
+converse; reordering events gathers the columns in the new order twice.
+Element-wise complement destroys the diagonal: it returns a raw grid.
 
 Every matrix, from the constructor or an internal builder, has its codes
 checked row by row: each must be below 8, and row i must have the full
@@ -66,6 +68,11 @@ def _gather(seq, keys) -> tuple:
     if len(keys) < 2:  # itemgetter takes a key and returns a bare item for one
         return tuple(seq[k] for k in keys)
     return itemgetter(*keys)(seq)
+
+
+def _columns(codes: bytes, n: int, order: Iterable[int]) -> bytes:
+    """Columns ``order`` of a row-major n-by-n code grid, each as one row."""
+    return b"".join([codes[k::n] for k in order])
 
 
 class SyncMatrix:
@@ -163,7 +170,8 @@ class SyncMatrix:
         Repeated declarations for a pair conjoin, so contradictory inputs
         are representable: they simply intersect down to NEVER.
         """
-        labels = tuple(labels)
+        # The constructor's label check raises on labels that are not iterable.
+        labels = tuple(labels) if isinstance(labels, Iterable) else _checked_labels(labels)
         n = len(labels)
         grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
         for i, j, rel in entries:
@@ -173,10 +181,16 @@ class SyncMatrix:
                 raise ValidationError(f"event {labels[i]!r} cannot constrain itself")
             if not isinstance(rel, Rel) or rel not in ALL_RELS:
                 raise ValidationError(f"entry relation {rel!r} is not a relation")
-            code = int(rel)
-            grid[i * n + j] &= code
-            grid[j * n + i] &= _CONVERSE[code]
-        return cls._from_codes(labels, grid)
+            grid[i * n + j] &= rel.value
+        return cls._from_declared(labels, grid)
+
+    @classmethod
+    def _from_declared(cls, labels: tuple[str, ...], grid: bytearray) -> "SyncMatrix":
+        """Build from codes declared at (i, j) only, meeting them with their converse at (j, i)."""
+        n, size = len(labels), len(grid)
+        mirror = _columns(grid, n, range(n)).translate(_CONVERSE_BYTES)
+        met = int.from_bytes(grid, "little") & int.from_bytes(mirror, "little")
+        return cls._from_codes(labels, met.to_bytes(size, "little"))
 
     def index_of(self, name: str) -> int:
         try:
@@ -211,8 +225,7 @@ class SyncMatrix:
 
     def converse(self) -> "SyncMatrix":
         """Cell-wise converse, which by converse antisymmetry is the transpose."""
-        n, codes = self.n, self._codes
-        return SyncMatrix._from_codes(self.labels, b"".join(codes[k::n] for k in range(n)))
+        return SyncMatrix._from_codes(self.labels, _columns(self._codes, self.n, range(self.n)))
 
     def complement_cells(self) -> RelGrid:
         """Cell-wise complement, as a raw grid: the diagonal becomes NEVER."""
@@ -220,16 +233,15 @@ class SyncMatrix:
 
     def swap_events(self, i: int, j: int) -> "SyncMatrix":
         """Exchange two events: labels, rows, and columns move together."""
-        n = self.n
-        _check_pair("event pair", i, j, n)
-        order = list(range(n))
-        order[i], order[j] = order[j], order[i]
+        _check_pair("event pair", i, j, self.n)
+        order = list(range(self.n))
+        order[i], order[j] = j, i
         return self._reordered(order)
 
     def _reordered(self, order: list[int]) -> "SyncMatrix":
-        """Event order[k] of this matrix becomes event k of the result."""
-        rows = self._code_rows()
-        codes = b"".join(bytes(_gather(rows[k], order)) for k in order)
+        """Event order[k] becomes event k; a column gather transposes, so two move both."""
+        n = self.n
+        codes = _columns(_columns(self._codes, n, order), n, order)
         return SyncMatrix._from_codes(_gather(self.labels, order), codes)
 
 
@@ -304,15 +316,14 @@ def atom_matrices(n: int) -> list[SyncMatrix]:
     if n > LISTING_MAX_EVENTS:
         raise GuardError(f"atom listing is limited to {LISTING_MAX_EVENTS} events")
     labels = default_labels(n)
-    empty = bytes(7 if k % (n + 1) == 0 else 0 for k in range(n * n))  # ANY on the diagonal only
+    empty = bytes(0 if k % n > k // n else 7 for k in range(n * n))  # NEVER above the diagonal, ANY below
     out = []
     for i in range(n):
         for j in range(i + 1, n):
             for atom in ATOMS:
                 grid = bytearray(empty)
                 grid[i * n + j] = atom
-                grid[j * n + i] = _CONVERSE[atom]
-                out.append(SyncMatrix._from_codes(labels, grid))
+                out.append(SyncMatrix._from_declared(labels, grid))
     return out
 
 
@@ -337,5 +348,4 @@ def _enumerate(n: int) -> Iterator[SyncMatrix]:
         grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
         for (i, j), code in zip(slots, combo):
             grid[i * n + j] = code
-            grid[j * n + i] = _CONVERSE[code]
-        yield SyncMatrix._from_codes(labels, grid)
+        yield SyncMatrix._from_declared(labels, grid)

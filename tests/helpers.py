@@ -4,8 +4,8 @@ import random
 import re
 
 from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
-from syncalg.errors import ParseError
-from syncalg.format import Constraint, SyncSpec
+from syncalg.errors import ParseError, ValidationError
+from syncalg.format import Constraint, NeqMode, SyncSpec, substitute_neq
 from syncalg.matrix import SyncMatrix, default_labels
 
 
@@ -85,3 +85,32 @@ def reference_parse_spec(text):
             roster[name] = None
         constraints.append(Constraint(lhs, op, rhs, lineno))
     return SyncSpec(tuple(roster), tuple(constraints))
+
+
+def reference_spec_to_matrix(spec, neq_as=NeqMode.KEEP):
+    """spec_to_matrix as a list of entries written twice each on Rel cells,
+    kept to check its code grid."""
+    index = {name: k for k, name in enumerate(spec.events)}
+    entries = []
+    for c in spec.constraints:
+        try:
+            entries.append((index[c.lhs], index[c.rhs], Rel.from_symbol(c.op)))
+        except KeyError as exc:
+            raise ValidationError(f"unknown event {exc.args[0]!r}") from None
+    labels = tuple(spec.events)
+    cells = [[Rel.ANY] * len(labels) for _ in labels]
+    for i, j, rel in substitute_neq(entries, neq_as):
+        if i == j:
+            raise ValidationError(f"event {labels[i]!r} cannot constrain itself")
+        cells[i][j] &= rel
+        cells[j][i] &= rel.converse()
+    return SyncMatrix(labels, cells)
+
+
+def reference_reordered(matrix, order):
+    """The matrix with event order[k] moved to place k, permuted on its Rel grid."""
+    cells = matrix.cells
+    return SyncMatrix(
+        [matrix.labels[k] for k in order],
+        [[cells[r][c] for c in order] for r in order],
+    )

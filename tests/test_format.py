@@ -184,6 +184,29 @@ def test_spec_to_matrix_names_the_first_bad_declaration(constraints, message):
     assert str(caught.value) == message
 
 
+def test_spec_to_matrix_reports_an_unknown_event_before_an_earlier_self_constraint():
+    spec = SyncSpec(("a", "b"), (Constraint("a", "<", "a", 1), Constraint("zz", "<", "b", 2)))
+    with pytest.raises(ValidationError, match=r"^unknown event 'zz'$"):
+        spec_to_matrix(spec)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Constraint(["a"], "<", "b", 1),
+        Constraint("a", "<", ["b"], 1),
+        ("a", "<", "b"),
+        ("a", "<", "b", 1, 2),
+        7,
+    ],
+)
+def test_spec_to_matrix_names_a_malformed_declaration_record(record):
+    spec = SyncSpec(("a", "b"), (Constraint("a", "<", "b", 1), record))
+    with pytest.raises(ValidationError) as caught:
+        spec_to_matrix(spec)
+    assert str(caught.value) == f"malformed declaration {record!r}"
+
+
 def test_spec_to_text_rejects_a_label_the_language_cannot_hold():
     m = SyncMatrix.from_entries(("a b", "c"), [(0, 1, Rel.LT)])
     with pytest.raises(ValidationError, match="does not read back"):

@@ -60,6 +60,12 @@ def test_from_entries_rejects_bad_input():
             SyncMatrix.from_entries(("a", "b"), [(0, 1, rel)])
 
 
+@pytest.mark.parametrize("labels", [None, 3])
+def test_from_entries_rejects_labels_that_are_not_a_sequence(labels):
+    with pytest.raises(ValidationError, match=r"^event labels must be a sequence of strings$"):
+        SyncMatrix.from_entries(labels, [])
+
+
 def test_constructor_enforces_unit_diagonal():
     with pytest.raises(ValidationError):
         SyncMatrix(("a", "b"), ((Rel.EQ, Rel.LT), (Rel.GT, Rel.ANY)))

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
 from syncalg.cli import main
-from syncalg.closure import _propagate, close
+from syncalg.closure import _propagate, close, equivalent
 from syncalg.errors import ParseError
 from syncalg.format import (
+    Constraint,
     NeqMode,
+    SyncSpec,
     interchange_to_matrix,
     matrix_to_interchange,
     matrix_to_spec,
@@ -26,8 +28,14 @@ from syncalg.format import (
     spec_to_matrix,
     spec_to_text,
 )
+from syncalg.matrix import SyncMatrix, default_labels
 
-from helpers import reference_parse_spec, reference_propagate
+from helpers import (
+    reference_parse_spec,
+    reference_propagate,
+    reference_reordered,
+    reference_spec_to_matrix,
+)
 
 NAMES = ("a", "b", "c", "d", "e")
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
@@ -127,6 +135,102 @@ def test_kernel_equals_the_rel_sweep_in_any_pair_order(case):
     codes = [list(map(int, row)) for row in cells]
     assert _propagate(codes, pair_order) == reference_propagate(cells, pair_order)
     assert codes == cells
+
+
+@st.composite
+def planted_specs(draw):
+    """A SyncSpec whose declarations hold at drawn event times, then mutated:
+    an unknown event, a self-constraint (``a any a`` among them), a bad
+    symbol, a repeated or mirrored pair, a duplicate or no event list, or a
+    self-constraint ahead of an unknown event."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=True))
+    time = {name: draw(st.integers(0, 3)) for name in names}
+    decls = []
+    for _ in range(draw(st.integers(0, 10)) if len(names) > 1 else 0):
+        lhs, rhs = draw(st.permutations(names))[:2]
+        atom = 1 if time[lhs] < time[rhs] else 2 if time[lhs] == time[rhs] else 4
+        op = draw(st.sampled_from([s for code, s in enumerate(CANONICAL_SYMBOLS) if code & atom]))
+        decls.append([lhs, op, rhs])
+    events = list(names)
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.integers(0, len(decls)))
+        name = draw(st.sampled_from(names))
+        mutation = draw(
+            st.sampled_from(["unknown", "self", "symbol", "repeat", "mirror", "duplicate", "empty", "precedence"])
+        )
+        if mutation == "unknown":
+            decls.insert(where, draw(st.sampled_from([["zz", "<", name], [name, "!=", "zz"]])))
+        elif mutation == "self":
+            decls.insert(where, [name, draw(st.sampled_from(CANONICAL_SYMBOLS)), name])
+        elif mutation == "symbol" and decls:
+            decls[where - 1][1] = draw(st.sampled_from(["<<", "NE", "", "≠"]))
+        elif mutation in ("repeat", "mirror") and decls:
+            lhs, op, rhs = decls[where - 1]
+            decls.append([lhs, op, rhs] if mutation == "repeat" else [rhs, draw(st.sampled_from(CANONICAL_SYMBOLS)), lhs])
+        elif mutation == "duplicate":
+            events.insert(draw(st.integers(0, len(events))), name)
+        elif mutation == "empty":
+            events = []
+        elif mutation == "precedence":
+            decls[:0] = [[name, "<", name], ["zz", "<", name]]
+    return SyncSpec(tuple(events), tuple(Constraint(*d, k) for k, d in enumerate(decls, 1)))
+
+
+def build_outcome(build, *args):
+    try:
+        matrix = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return matrix.labels, matrix._codes
+
+
+@seed(20261022)
+@settings(max_examples=600, deadline=None, database=None)
+@given(planted_specs())
+def test_spec_to_matrix_equals_the_entry_by_entry_reference(spec):
+    for mode in NeqMode:
+        expected = build_outcome(reference_spec_to_matrix, spec, mode)
+        assert build_outcome(spec_to_matrix, spec, mode) == expected
+
+
+@st.composite
+def matrices(draw, n):
+    grid = [[Rel.ANY] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid[i][j] = draw(st.sampled_from(ALL_RELS))
+            grid[j][i] = grid[i][j].converse()
+    return SyncMatrix(default_labels(n), grid)
+
+
+@st.composite
+def permuted_matrices(draw):
+    """A matrix over one to twelve events, a second one (or the same), and a
+    permutation of the events."""
+    n = draw(st.integers(1, 12))
+    p = draw(matrices(n))
+    q = draw(st.one_of(st.just(p), matrices(n)))
+    return p, q, draw(st.permutations(range(n)))
+
+
+@seed(20261023)
+@PROPERTY
+@given(permuted_matrices())
+def test_event_permutations_equal_the_rel_grid_reference(case):
+    p, q, order = case
+    n = p.n
+    assert p._reordered(order) == reference_reordered(p, order)
+    i, j = order[0], order[-1]
+    swap = list(range(n))
+    swap[i], swap[j] = j, i
+    assert p.swap_events(i, j) == reference_reordered(p, swap)
+    transposed = [[p.cells[j][i] for j in range(n)] for i in range(n)]
+    assert p.converse() == SyncMatrix(p.labels, transposed)
+    assert p.converse().cells == tuple(tuple(c.converse() for c in row) for row in p.cells)
+    # q with its events shuffled realigns to q itself.
+    shuffled = reference_reordered(q, order)
+    assert equivalent(p, shuffled) == (close(p).closed == close(q).closed)
+    assert equivalent(q, shuffled)
 
 
 ARG_TEXT = st.text(
