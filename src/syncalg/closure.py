@@ -50,6 +50,8 @@ __all__ = ["ClosureReport", "ImpliedChange", "boundedness", "close", "equivalent
 # be when x-to-y is a and z-to-y is b, compose(a, converse(b)) on int codes.
 # Bytes 64-255 never occur in a scan.
 _THROUGH_BYTES = bytes(_COMPOSE[code >> 3][_CONVERSE[code & 7]] for code in range(64)).ljust(256, b"\0")
+# A named tuple without its Python-level __new__ frame, as _make builds it.
+_tuple_new = tuple.__new__
 
 
 class ImpliedChange(namedtuple("ImpliedChange", "i j before after")):
@@ -131,19 +133,13 @@ def close(matrix: SyncMatrix) -> ClosureReport:
     iterations = _propagate(grid, pairs)
     closed = SyncMatrix._from_codes(matrix.labels, b"".join(map(bytes, grid)))
     implied = tuple(
-        ImpliedChange(i, j, ALL_RELS[declared[i][j]], ALL_RELS[grid[i][j]])
+        _tuple_new(ImpliedChange, (i, j, ALL_RELS[declared[i][j]], ALL_RELS[grid[i][j]]))
         for i, j in pairs
         if grid[i][j] != declared[i][j]
     )
-    deadlock_pairs = tuple((i, j) for i, j in pairs if not grid[i][j])
-    return ClosureReport(
-        closed=closed,
-        bounds=boundedness(closed),
-        deadlocked=bool(deadlock_pairs),
-        deadlock_pairs=deadlock_pairs,
-        implied=implied,
-        iterations=iterations,
-    )
+    deadlock_pairs = tuple(pair for pair in pairs if not grid[pair[0]][pair[1]])
+    bounds = boundedness(closed)
+    return _tuple_new(ClosureReport, (closed, bounds, bool(deadlock_pairs), deadlock_pairs, implied, iterations))
 
 
 def boundedness(matrix: SyncMatrix) -> tuple[Bound, ...]:
@@ -155,7 +151,7 @@ def boundedness(matrix: SyncMatrix) -> tuple[Bound, ...]:
     relation: unbounded.
     """
     # The diagonal cell is ANY, so folding it in changes nothing.
-    return tuple(Bound(ALL_RELS[reduce(and_, row)]) for row in matrix._code_rows())
+    return tuple(_tuple_new(Bound, (ALL_RELS[reduce(and_, row)],)) for row in matrix._code_rows())
 
 
 def equivalent(p: SyncMatrix, q: SyncMatrix) -> bool:

@@ -30,9 +30,9 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .algebra import _REL_OF_SYMBOL, CANONICAL_SYMBOLS, Rel
-from .closure import ClosureReport
+from .closure import ClosureReport, _tuple_new
 from .errors import InterchangeError, ParseError, ValidationError
-from .matrix import SyncMatrix, _gather
+from .matrix import SyncMatrix, _gather, _string_labels
 
 __all__ = [
     "Constraint",
@@ -55,8 +55,6 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Each symbol as json.dumps writes it: none holds a character it escapes.
 _QUOTED = tuple(f'"{symbol}"' for symbol in CANONICAL_SYMBOLS)
-# A named tuple without its Python-level __new__ frame, as _make builds it.
-_tuple_new = tuple.__new__
 
 
 class Constraint(namedtuple("Constraint", "lhs op rhs line")):
@@ -173,8 +171,9 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
     a != b rewritten AS_LT becomes a < b, but the matrix cell it lands in
     no longer remembers whether a or b was written first.
     """
-    index = {name: k for k, name in enumerate(spec.events)}
-    labels = tuple(spec.events)
+    # The constructor's string check first; an empty or repeated event list fails after the declarations.
+    labels = _string_labels(spec.events)
+    index = {name: k for k, name in enumerate(labels)}
     n = len(labels)
     grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
     try:
@@ -186,13 +185,14 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
             grid[i * n + j] &= code_of[op]
     except (KeyError, TypeError, ValueError):
         entries = []  # again declaration by declaration, for the error naming the bad one
-        for c in spec.constraints:
+        for record in spec.constraints:
             try:
-                entries.append((index[c.lhs], index[c.rhs], Rel.from_symbol(c.op)))
+                lhs, op, rhs, _ = record
+                entries.append((index[lhs], index[rhs], Rel.from_symbol(op)))
             except KeyError as exc:
                 raise ValidationError(f"unknown event {exc.args[0]!r}") from None
-            except (AttributeError, TypeError):
-                raise ValidationError(f"malformed declaration {c!r}") from None
+            except (TypeError, ValueError):
+                raise ValidationError(f"malformed declaration {record!r}") from None
         return SyncMatrix.from_entries(labels, substitute_neq(entries, neq_as))
     return SyncMatrix._from_declared(labels, grid)
 
@@ -241,29 +241,26 @@ def report_to_interchange(report: ClosureReport) -> str:
     """JSON document for a closure report.
 
     Pair positions are emitted as label pairs rather than indices so the
-    document stands alone.
+    document stands alone.  Like the matrix rows, the members are written
+    as text: each label is quoted once, and symbols need no escaping.
     """
     import json
 
     m = report.closed
-    doc = {
-        "bounds": [bound.symbol for bound in report.bounds],
-        "deadlock": report.deadlocked,
-        "deadlock_pairs": [
-            [m.labels[i], m.labels[j]] for i, j in report.deadlock_pairs
-        ],
-        "implied": [
-            {
-                "pair": [m.labels[c.i], m.labels[c.j]],
-                "before": c.before.symbol,
-                "after": c.after.symbol,
-            }
-            for c in report.implied
-        ],
-        "iterations": report.iterations,
-    }
-    # The matrix document's members first, as json.dumps would join the two.
-    return matrix_to_interchange(m)[:-1] + ", " + json.dumps(doc)[1:]
+    quoted = [json.dumps(name) for name in m.labels]
+    bounds = ", ".join([_QUOTED[bound.value] for bound in report.bounds])
+    pairs = ", ".join([f"[{quoted[i]}, {quoted[j]}]" for i, j in report.deadlock_pairs])
+    implied = ", ".join(
+        [
+            f'{{"pair": [{quoted[i]}, {quoted[j]}], "before": {_QUOTED[before]}, "after": {_QUOTED[after]}}}'
+            for i, j, before, after in report.implied
+        ]
+    )
+    # The matrix document's members first, in json.dumps's layout.
+    return (
+        f'{matrix_to_interchange(m)[:-1]}, "bounds": [{bounds}], "deadlock": {json.dumps(report.deadlocked)}, '
+        f'"deadlock_pairs": [{pairs}], "implied": [{implied}], "iterations": {json.dumps(report.iterations)}}}'
+    )
 
 
 def interchange_to_matrix(text: str) -> SyncMatrix:

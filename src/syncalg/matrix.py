@@ -245,15 +245,20 @@ class SyncMatrix:
         return SyncMatrix._from_codes(_gather(self.labels, order), codes)
 
 
-def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+def _string_labels(labels: Iterable[str]) -> tuple[str, ...]:
     try:
         labels = tuple(labels)
     except TypeError:
         raise ValidationError("event labels must be a sequence of strings") from None
-    if not labels:
-        raise ValidationError("a matrix needs at least one event")
     if not all(isinstance(name, str) for name in labels):
         raise ValidationError("event labels must be a sequence of strings")
+    return labels
+
+
+def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    labels = _string_labels(labels)
+    if not labels:
+        raise ValidationError("a matrix needs at least one event")
     if len(set(labels)) != len(labels):
         raise ValidationError("event labels must be distinct")
     return labels

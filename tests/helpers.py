@@ -1,12 +1,14 @@
 """Shared builders for the test suite."""
 
+import json
 import random
 import re
 
 from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
 from syncalg.errors import ParseError, ValidationError
-from syncalg.format import Constraint, NeqMode, SyncSpec, substitute_neq
+from syncalg.format import Constraint, NeqMode, SyncSpec, matrix_to_interchange, substitute_neq
 from syncalg.matrix import SyncMatrix, default_labels
+from syncalg.oracle import atom_of
 
 
 def random_matrix(rng: random.Random, n: int, allowed=ALL_RELS) -> SyncMatrix:
@@ -18,6 +20,27 @@ def random_matrix(rng: random.Random, n: int, allowed=ALL_RELS) -> SyncMatrix:
             grid[i][j] = cell
             grid[j][i] = cell.converse()
     return SyncMatrix(default_labels(n), tuple(tuple(row) for row in grid))
+
+
+def planted_matrix(rng, n, density, extra=()):
+    """A satisfiable matrix: each declared cell holds the planted times' atom.
+
+    ``extra`` entries (i < j) replace whatever was planted at their cells.
+    """
+    times = [rng.randrange(n // 2) for _ in range(n)]
+    entries = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                atom = atom_of(times[i], times[j])
+                rel = rng.choice([r for r in ALL_RELS if r.contains(atom) and r != Rel.ANY])
+                if atom != Rel.EQ and rng.random() < 0.3:
+                    rel = Rel.NE
+                entries[i, j] = rel
+    entries.update({(i, j): rel for i, j, rel in extra})
+    return SyncMatrix.from_entries(
+        default_labels(n), [(i, j, rel) for (i, j), rel in entries.items()]
+    )
 
 
 def reference_propagate(cells, pair_order=None):
@@ -114,3 +137,26 @@ def reference_reordered(matrix, order):
         [matrix.labels[k] for k in order],
         [[cells[r][c] for c in order] for r in order],
     )
+
+
+def reference_report_to_interchange(report):
+    """report_to_interchange as one dict through json.dumps, kept to check its text writer."""
+    m = report.closed
+    doc = {
+        "bounds": [bound.symbol for bound in report.bounds],
+        "deadlock": report.deadlocked,
+        "deadlock_pairs": [
+            [m.labels[i], m.labels[j]] for i, j in report.deadlock_pairs
+        ],
+        "implied": [
+            {
+                "pair": [m.labels[c.i], m.labels[c.j]],
+                "before": c.before.symbol,
+                "after": c.after.symbol,
+            }
+            for c in report.implied
+        ],
+        "iterations": report.iterations,
+    }
+    # The matrix document's members first, as json.dumps would join the two.
+    return matrix_to_interchange(m)[:-1] + ", " + json.dumps(doc)[1:]

@@ -6,14 +6,14 @@ import random
 
 import pytest
 
-from syncalg.algebra import ALL_RELS, Rel
-from syncalg.closure import _propagate, boundedness, close, equivalent
+from syncalg.algebra import ALL_RELS, Bound, Rel
+from syncalg.closure import ClosureReport, ImpliedChange, _propagate, boundedness, close, equivalent
 from syncalg.errors import ValidationError
 from syncalg.format import NeqMode, substitute_neq
 from syncalg.matrix import SyncMatrix, default_labels
-from syncalg.oracle import atom_of, minimal_network
+from syncalg.oracle import minimal_network
 
-from helpers import random_matrix, reference_propagate
+from helpers import planted_matrix, random_matrix, reference_propagate
 
 
 def chain(*rels):
@@ -94,27 +94,6 @@ def test_fixpoint_is_sweep_order_independent():
         shuffled = [list(bytes(row)) for row in m.cells]
         _propagate(shuffled, pairs)
         assert shuffled == reference
-
-
-def planted_matrix(rng, n, density, extra=()):
-    """A satisfiable matrix: each declared cell holds the planted times' atom.
-
-    ``extra`` entries (i < j) replace whatever was planted at their cells.
-    """
-    times = [rng.randrange(n // 2) for _ in range(n)]
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                atom = atom_of(times[i], times[j])
-                rel = rng.choice([r for r in ALL_RELS if r.contains(atom) and r != Rel.ANY])
-                if atom != Rel.EQ and rng.random() < 0.3:
-                    rel = Rel.NE
-                entries[i, j] = rel
-    entries.update({(i, j): rel for i, j, rel in extra})
-    return SyncMatrix.from_entries(
-        default_labels(n), [(i, j, rel) for (i, j), rel in entries.items()]
-    )
 
 
 def assert_kernel_matches_reference(m, pair_order=None):
@@ -206,6 +185,28 @@ def test_int_kernel_matches_the_rel_sweep_on_planted_extremes(n, extra, declared
     assert any(Rel.NEVER in row for row in m.cells) == declared_never
     assert_kernel_matches_reference(m)
     assert close(m).deadlocked == bool(extra)
+
+
+def test_close_builds_exact_record_types():
+    rng = random.Random(47)
+    cycle = [(0, 5, Rel.LT), (5, 9, Rel.LT), (0, 9, Rel.GT)]
+    for m, deadlocked in ((planted_matrix(rng, 12, 0.3), False), (planted_matrix(rng, 12, 0.3, cycle), True)):
+        report = close(m)
+        assert type(report) is ClosureReport
+        assert report == ClosureReport(
+            closed=report.closed,
+            bounds=report.bounds,
+            deadlocked=deadlocked,
+            deadlock_pairs=report.deadlock_pairs,
+            implied=report.implied,
+            iterations=report.iterations,
+        )
+        assert type(report.closed) is SyncMatrix and type(report.iterations) is int
+        assert report.implied and all(type(c) is ImpliedChange for c in report.implied)
+        assert [type(bound) for bound in report.bounds] == [Bound] * 12
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in report.deadlock_pairs)
+        assert bool(report.deadlock_pairs) == deadlocked
+    assert [type(bound) for bound in boundedness(m)] == [Bound] * 12
 
 
 def test_deadlock_agrees_with_exhaustive_search():

@@ -1,11 +1,12 @@
 """Tests for the declaration language, interchange JSON, and DOT output."""
 
 import json
+import random
 import sys
 
 import pytest
 
-from syncalg.algebra import Rel
+from syncalg.algebra import ALL_RELS, Rel
 from syncalg.closure import close
 from syncalg.errors import InterchangeError, ParseError, ValidationError
 from syncalg.format import (
@@ -23,6 +24,8 @@ from syncalg.format import (
     to_dot,
 )
 from syncalg.matrix import SyncMatrix
+
+from helpers import planted_matrix, random_matrix, reference_report_to_interchange
 
 
 def test_parse_with_directive():
@@ -207,6 +210,28 @@ def test_spec_to_matrix_names_a_malformed_declaration_record(record):
     assert str(caught.value) == f"malformed declaration {record!r}"
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        (("a", "<", "zz", 1), "unknown event 'zz'"),
+        (("zz", "<", "b", 1), "unknown event 'zz'"),
+        (("a", "~", "b", 1), "unknown relation symbol '~'"),
+        (("a", "<", "a", 1), "event 'a' cannot constrain itself"),
+    ],
+)
+def test_spec_to_matrix_names_the_fault_of_a_plain_tuple_declaration(record, message):
+    spec = SyncSpec(("a", "b"), (("a", "<", "b", 1), record))
+    with pytest.raises(ValidationError) as caught:
+        spec_to_matrix(spec)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("events", [None, 5, (["a"],)])
+def test_spec_to_matrix_rejects_events_that_are_not_a_sequence_of_strings(events):
+    with pytest.raises(ValidationError, match=r"^event labels must be a sequence of strings$"):
+        spec_to_matrix(SyncSpec(events, ()))
+
+
 def test_spec_to_text_rejects_a_label_the_language_cannot_hold():
     m = SyncMatrix.from_entries(("a b", "c"), [(0, 1, Rel.LT)])
     with pytest.raises(ValidationError, match="does not read back"):
@@ -292,6 +317,39 @@ def test_report_interchange_reads_back_as_the_closed_matrix():
     m = SyncMatrix.from_entries(("a", "b", "c"), [(0, 1, Rel.GT), (1, 2, Rel.GT)])
     report = close(m)
     assert interchange_to_matrix(report_to_interchange(report)) == report.closed
+
+
+def test_report_writer_equals_the_json_dumps_reference_on_planted_reports():
+    rng = random.Random(41)
+    deadlocked = 0
+    for trial in range(640):
+        n = trial % 40 + 1
+        extra = []
+        if trial % 2 and n >= 3:  # a declared strict cycle over 3-6 events
+            cycle = sorted(rng.sample(range(n), rng.randint(3, min(n, 6))))
+            extra = [(a, b, Rel.LT) for a, b in zip(cycle, cycle[1:])] + [(cycle[0], cycle[-1], Rel.GT)]
+        m = planted_matrix(rng, n, rng.uniform(0.1, 0.3), extra) if n > 1 else SyncMatrix.unconstrained(("e1",))
+        report = close(m)
+        assert report.deadlocked == bool(extra)
+        deadlocked += report.deadlocked
+        assert report_to_interchange(report) == reference_report_to_interchange(report)
+    assert deadlocked == 304
+
+
+def test_report_writer_equals_the_json_dumps_reference_on_labels_that_need_escaping():
+    rng = random.Random(43)
+    pieces = ["a", "Z9", '"', "\\", "/", " ", "\0", "\t", "\n", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800"]
+    deadlocked = 0
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        labels = set()
+        while len(labels) < n:
+            labels.add("".join(rng.choices(pieces, k=rng.randint(0, 4))))
+        m = random_matrix(rng, n, ALL_RELS + (Rel.ANY,) * rng.randint(0, 24))
+        report = close(SyncMatrix(sorted(labels), m.cells))
+        deadlocked += report.deadlocked
+        assert report_to_interchange(report) == reference_report_to_interchange(report)
+    assert 100 < deadlocked < 500
 
 
 @pytest.mark.parametrize(
