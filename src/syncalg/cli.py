@@ -62,21 +62,22 @@ def render_matrix(matrix: SyncMatrix) -> str:
 
 def render_report(report: ClosureReport) -> str:
     m = report.closed
+    labels = m.labels
     lines = ["closed matrix:"]
     lines.extend("  " + row for row in render_matrix(m).splitlines())
     lines.append("bounds:")
-    for name, bound in zip(m.labels, report.bounds):
-        lines.append(f"  {name}: {bound.describe()}")
+    lines.extend([f"  {name}: {bound.describe()}" for name, bound in zip(labels, report.bounds)])
     lines.append(f"deadlock: {'yes' if report.deadlocked else 'no'}")
-    for i, j in report.deadlock_pairs:
-        lines.append(f"  deadlocked pair: ({m.labels[i]}, {m.labels[j]})")
+    lines.extend([f"  deadlocked pair: ({labels[i]}, {labels[j]})" for i, j in report.deadlock_pairs])
     if report.implied:
         lines.append("implied:")
-        for c in report.implied:
-            lines.append(
-                f"  ({m.labels[c.i]}, {m.labels[c.j]}): "
-                f"{c.before.symbol} tightened to {c.after.symbol}"
-            )
+        lines.extend(
+            [
+                f"  ({labels[i]}, {labels[j]}): "
+                f"{CANONICAL_SYMBOLS[before]} tightened to {CANONICAL_SYMBOLS[after]}"
+                for i, j, before, after in report.implied
+            ]
+        )
     else:
         lines.append("implied: none")
     lines.append(f"iterations: {report.iterations}")

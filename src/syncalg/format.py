@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import re
 from collections import namedtuple
-from collections.abc import Iterable
 
 from .algebra import _REL_OF_SYMBOL, CANONICAL_SYMBOLS, Rel
 from .closure import ClosureReport, _tuple_new
@@ -45,7 +44,6 @@ __all__ = [
     "report_to_interchange",
     "spec_to_matrix",
     "spec_to_text",
-    "substitute_neq",
     "to_dot",
 ]
 
@@ -138,30 +136,12 @@ class NeqMode(enum.Enum):
     AS_GT = "gt"
 
 
-# The int code each symbol declares under each != policy (Rel's & is slow).
+# The int code each symbol declares under each != policy (Rel's & is slow):
+# the one place the policy is written.
 _CODE_OF_SYMBOL = {
     mode: {**dict(zip(CANONICAL_SYMBOLS, range(8))), "!=": rel.value}
     for mode, rel in ((NeqMode.KEEP, Rel.NE), (NeqMode.AS_LT, Rel.LT), (NeqMode.AS_GT, Rel.GT))
 }
-
-
-def substitute_neq(
-    entries: Iterable[tuple[int, int, Rel]],
-    mode: NeqMode,
-) -> list[tuple[int, int, Rel]]:
-    """Apply a NeqMode to directed declarations.
-
-    Only exact exclusion declarations are rewritten; composite cells that
-    merely contain the exclusion's atoms arise from conjunction, not from
-    a written !=, and keep their meaning.  A mode that is not a NeqMode
-    member, such as its value ``"lt"`` or None, raises ValidationError.
-    """
-    if not isinstance(mode, NeqMode):
-        raise ValidationError(f"!= mode must be a NeqMode member, not {mode!r}")
-    if mode is NeqMode.KEEP:
-        return list(entries)
-    replacement = Rel.LT if mode is NeqMode.AS_LT else Rel.GT
-    return [(i, j, replacement if rel == Rel.NE else rel) for i, j, rel in entries]
 
 
 def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix:
@@ -169,31 +149,35 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
 
     The policy must act here, while declarations still have a direction:
     a != b rewritten AS_LT becomes a < b, but the matrix cell it lands in
-    no longer remembers whether a or b was written first.
+    no longer remembers whether a or b was written first.  A mode that is
+    not a NeqMode member, such as its value ``"lt"`` or None, raises
+    ValidationError.
     """
     # The constructor's string check first; an empty or repeated event list fails after the declarations.
     labels = _string_labels(spec.events)
+    if not isinstance(neq_as, NeqMode):
+        raise ValidationError(f"!= mode must be a NeqMode member, not {neq_as!r}")
+    code_of = _CODE_OF_SYMBOL[neq_as]
     index = {name: k for k, name in enumerate(labels)}
     n = len(labels)
     grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
-    try:
-        code_of = _CODE_OF_SYMBOL[neq_as]
-        for lhs, op, rhs, _ in spec.constraints:
+    self_constrained = None  # the first event declared against itself, reported after every other fault
+    for record in spec.constraints:
+        try:
+            lhs, op, rhs, _ = record
             i, j = index[lhs], index[rhs]
-            if i == j:
-                raise ValueError("self-constraint")
+        except KeyError as exc:
+            raise ValidationError(f"unknown event {exc.args[0]!r}") from None
+        except (TypeError, ValueError):
+            raise ValidationError(f"malformed declaration {record!r}") from None
+        try:
             grid[i * n + j] &= code_of[op]
-    except (KeyError, TypeError, ValueError):
-        entries = []  # again declaration by declaration, for the error naming the bad one
-        for record in spec.constraints:
-            try:
-                lhs, op, rhs, _ = record
-                entries.append((index[lhs], index[rhs], Rel.from_symbol(op)))
-            except KeyError as exc:
-                raise ValidationError(f"unknown event {exc.args[0]!r}") from None
-            except (TypeError, ValueError):
-                raise ValidationError(f"malformed declaration {record!r}") from None
-        return SyncMatrix.from_entries(labels, substitute_neq(entries, neq_as))
+        except (KeyError, TypeError):
+            raise ValidationError(f"unknown relation symbol {op!r}") from None
+        if i == j and self_constrained is None:
+            self_constrained = labels[i]
+    if self_constrained is not None:
+        raise ValidationError(f"event {self_constrained!r} cannot constrain itself")
     return SyncMatrix._from_declared(labels, grid)
 
 

@@ -6,7 +6,8 @@ import re
 
 from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
 from syncalg.errors import ParseError, ValidationError
-from syncalg.format import Constraint, NeqMode, SyncSpec, matrix_to_interchange, substitute_neq
+from syncalg.cli import render_matrix
+from syncalg.format import Constraint, NeqMode, SyncSpec, matrix_to_interchange
 from syncalg.matrix import SyncMatrix, default_labels
 from syncalg.oracle import atom_of
 
@@ -110,6 +111,17 @@ def reference_parse_spec(text):
     return SyncSpec(tuple(roster), tuple(constraints))
 
 
+def substitute_neq(entries, mode):
+    """The != policy on directed (i, j, Rel) entries, kept for the reference
+    builder: only a written != is rewritten, in its written direction."""
+    if not isinstance(mode, NeqMode):
+        raise ValidationError(f"!= mode must be a NeqMode member, not {mode!r}")
+    if mode is NeqMode.KEEP:
+        return list(entries)
+    replacement = Rel.LT if mode is NeqMode.AS_LT else Rel.GT
+    return [(i, j, replacement if rel == Rel.NE else rel) for i, j, rel in entries]
+
+
 def reference_spec_to_matrix(spec, neq_as=NeqMode.KEEP):
     """spec_to_matrix as a list of entries written twice each on Rel cells,
     kept to check its code grid."""
@@ -160,3 +172,27 @@ def reference_report_to_interchange(report):
     }
     # The matrix document's members first, as json.dumps would join the two.
     return matrix_to_interchange(m)[:-1] + ", " + json.dumps(doc)[1:]
+
+
+def reference_render_report(report):
+    """cli.render_report reading each symbol through Rel.symbol, kept to check its text."""
+    m = report.closed
+    lines = ["closed matrix:"]
+    lines.extend("  " + row for row in render_matrix(m).splitlines())
+    lines.append("bounds:")
+    for name, bound in zip(m.labels, report.bounds):
+        lines.append(f"  {name}: {bound.describe()}")
+    lines.append(f"deadlock: {'yes' if report.deadlocked else 'no'}")
+    for i, j in report.deadlock_pairs:
+        lines.append(f"  deadlocked pair: ({m.labels[i]}, {m.labels[j]})")
+    if report.implied:
+        lines.append("implied:")
+        for c in report.implied:
+            lines.append(
+                f"  ({m.labels[c.i]}, {m.labels[c.j]}): "
+                f"{c.before.symbol} tightened to {c.after.symbol}"
+            )
+    else:
+        lines.append("implied: none")
+    lines.append(f"iterations: {report.iterations}")
+    return "\n".join(lines)

@@ -8,12 +8,18 @@ traceback.
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from syncalg.cli import main
+from syncalg.algebra import Rel
+from syncalg.cli import main, render_report
+from syncalg.closure import close
+from syncalg.matrix import SyncMatrix
+
+from helpers import planted_matrix, reference_render_report
 
 
 @pytest.fixture
@@ -41,6 +47,23 @@ def test_close_deadlock_exit_code(write, capsys):
     out = capsys.readouterr().out
     assert "deadlock: yes" in out
     assert "deadlocked pair: (a, b)" in out
+
+
+def test_close_text_equals_the_rel_symbol_reference_on_planted_reports():
+    rng = random.Random(47)
+    deadlocked = 0
+    for trial in range(600):
+        n = trial % 40 + 1
+        extra = []
+        if trial % 2 and n >= 3:  # a declared strict cycle over 3-6 events
+            cycle = sorted(rng.sample(range(n), rng.randint(3, min(n, 6))))
+            extra = [(a, b, Rel.LT) for a, b in zip(cycle, cycle[1:])] + [(cycle[0], cycle[-1], Rel.GT)]
+        m = planted_matrix(rng, n, rng.uniform(0.1, 0.3), extra) if n > 1 else SyncMatrix.unconstrained(("e1",))
+        report = close(m)
+        assert report.deadlocked == bool(extra)
+        deadlocked += report.deadlocked
+        assert render_report(report) == reference_render_report(report)
+    assert deadlocked == 285
 
 
 def test_close_interchange_format(write, capsys):

@@ -9,11 +9,11 @@ import pytest
 from syncalg.algebra import ALL_RELS, Bound, Rel
 from syncalg.closure import ClosureReport, ImpliedChange, _propagate, boundedness, close, equivalent
 from syncalg.errors import ValidationError
-from syncalg.format import NeqMode, substitute_neq
+from syncalg.format import NeqMode
 from syncalg.matrix import SyncMatrix, default_labels
 from syncalg.oracle import minimal_network
 
-from helpers import planted_matrix, random_matrix, reference_propagate
+from helpers import planted_matrix, random_matrix, reference_propagate, substitute_neq
 
 
 def chain(*rels):
@@ -246,19 +246,6 @@ def test_middle_of_a_chain_is_bounded_both_ways():
     assert middle.value == Rel.NEVER
     assert middle.bounded_below and middle.bounded_above
     assert not middle.boundary_included
-
-
-def test_substitute_neq():
-    entries = [(0, 1, Rel.NE), (1, 2, Rel.LE), (2, 0, Rel.NE)]
-    assert substitute_neq(entries, NeqMode.KEEP) == entries
-    assert substitute_neq(entries, NeqMode.AS_LT) == [
-        (0, 1, Rel.LT),
-        (1, 2, Rel.LE),
-        (2, 0, Rel.LT),
-    ]
-    assert substitute_neq(entries, NeqMode.AS_GT)[0] == (0, 1, Rel.GT)
-    # Composite cells that merely contain both strict atoms are not rewritten.
-    assert substitute_neq([(0, 1, Rel.ANY)], NeqMode.AS_LT) == [(0, 1, Rel.ANY)]
 
 
 def test_exclusion_cycle_depends_on_declaration_direction():

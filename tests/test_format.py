@@ -20,7 +20,6 @@ from syncalg.format import (
     report_to_interchange,
     spec_to_matrix,
     spec_to_text,
-    substitute_neq,
     to_dot,
 )
 from syncalg.matrix import SyncMatrix
@@ -133,12 +132,18 @@ def test_spec_to_matrix_applies_neq_mode_directionally():
 @pytest.mark.parametrize("mode", ["keep", "lt", None])
 def test_neq_mode_must_be_a_member(mode):
     message = f"!= mode must be a NeqMode member, not {mode!r}"
-    with pytest.raises(ValidationError) as err:
-        substitute_neq([(0, 1, Rel.NE)], mode)
-    assert str(err.value) == message
-    with pytest.raises(ValidationError) as err:
-        spec_to_matrix(parse_spec("a != b\n"), mode)
-    assert str(err.value) == message
+    # The mode is checked before any declaration, so it is named ahead of
+    # an unknown event, a bad symbol or a self-constraint.
+    for constraints in [
+        [("a", "!=", "b")],
+        [("a", "<", "b"), ("zz", "!=", "b")],
+        [("a", "<<", "b")],
+        [("a", "!=", "a")],
+    ]:
+        spec = SyncSpec(("a", "b"), tuple(Constraint(*c, k) for k, c in enumerate(constraints, 1)))
+        with pytest.raises(ValidationError) as err:
+            spec_to_matrix(spec, mode)
+        assert str(err.value) == message
 
 
 def test_matrix_to_spec_lists_constrained_pairs_once():

@@ -7,6 +7,7 @@ keeps no example database, so every run draws the same examples.
 
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import given, seed, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
 from syncalg.cli import main
 from syncalg.closure import _propagate, close, equivalent
-from syncalg.errors import ParseError
+from syncalg.errors import ParseError, ValidationError
 from syncalg.format import (
     Constraint,
     NeqMode,
@@ -190,6 +191,36 @@ def build_outcome(build, *args):
 def test_spec_to_matrix_equals_the_entry_by_entry_reference(spec):
     for mode in NeqMode:
         expected = build_outcome(reference_spec_to_matrix, spec, mode)
+        assert build_outcome(spec_to_matrix, spec, mode) == expected
+
+
+def large_planted_spec(fault, where):
+    """A satisfiable spec over 400 events with about 20,000 declarations,
+    with one declaration replaced by a fault: an unknown event, a bad
+    symbol or a self-constraint (or none)."""
+    rng = random.Random(400)
+    names = [f"e{k}" for k in range(400)]
+    time = {name: rng.randrange(200) for name in names}
+    decls = []
+    for _ in range(20000):
+        lhs, rhs = rng.sample(names, 2)
+        atom = 1 if time[lhs] < time[rhs] else 2 if time[lhs] == time[rhs] else 4
+        decls.append([lhs, rng.choice([s for code, s in enumerate(CANONICAL_SYMBOLS) if code & atom]), rhs])
+    at = {"first": 0, "middle": len(decls) // 2, "last": len(decls) - 1}[where]
+    lhs, op, rhs = decls[at]
+    decls[at] = {"none": [lhs, op, rhs], "unknown": [lhs, op, "zz"], "symbol": [lhs, "<<", rhs], "self": [lhs, op, lhs]}[fault]
+    return SyncSpec(tuple(names), tuple(Constraint(*d, k) for k, d in enumerate(decls, 1)))
+
+
+@pytest.mark.parametrize(
+    "fault,where",
+    [("none", "middle")] + [(f, w) for f in ("unknown", "symbol", "self") for w in ("first", "middle", "last")],
+)
+def test_spec_to_matrix_equals_the_reference_on_a_400_event_spec(fault, where):
+    spec = large_planted_spec(fault, where)
+    for mode in NeqMode:
+        expected = build_outcome(reference_spec_to_matrix, spec, mode)
+        assert (expected[0] is ValidationError) == (fault != "none")
         assert build_outcome(spec_to_matrix, spec, mode) == expected
 
 

@@ -5,13 +5,17 @@ Every module the package re-exports declares ``__all__``; the package's
 module binds exactly its ``__all__``.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import types
 
 import pytest
 
 import syncalg
+
+SOURCES = sorted(pathlib.Path(syncalg.__file__).parent.glob("*.py"))
 
 MODULES = ("algebra", "closure", "errors", "format", "matrix")
 
@@ -25,7 +29,7 @@ PUBLIC_NAMES = {
     "interchange_to_matrix", "matrix_count", "matrix_to_interchange",
     "matrix_to_spec", "minimal_network", "pairs_of", "parse_spec",
     "report_to_interchange", "satisfies", "spec_to_matrix", "spec_to_text",
-    "substitute_neq", "to_dot",
+    "to_dot",
 }
 
 
@@ -60,3 +64,18 @@ def test_star_import_binds_exactly_the_module_list(name):
     exec(f"from syncalg.{name} import *", namespace)
     del namespace["__builtins__"]
     assert namespace.keys() == set(module(name).__all__)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_module_reads_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.add(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []
