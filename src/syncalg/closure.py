@@ -28,8 +28,7 @@ meet the diagonal ``any``, which narrows nothing.  Two exact skips
 replace scans: a pair at ``never`` cannot narrow, and a pair whose row
 i or j holds a ``never`` becomes ``never``, since composing with
 ``never`` gives ``never``.  On planted systems (Python 3.11) the
-kernel takes about 2.4 ms at n = 40 and 0.16 s at n = 200, against
-6.5 ms and 1.2 s for the cell-by-cell loop it replaced.
+kernel takes about 2.4 ms at n = 40 and 0.16 s at n = 200.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from collections import namedtuple
 from .algebra import _REL_OF_SYMBOL, CANONICAL_SYMBOLS, Rel
 from .closure import ClosureReport, _tuple_new
 from .errors import InterchangeError, ParseError, ValidationError
-from .matrix import SyncMatrix, _gather, _string_labels
+from .matrix import SyncMatrix, _checked_labels, _gather, _string_labels
 
 __all__ = [
     "Constraint",
@@ -266,15 +266,12 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
     events = doc.get("events")
     if events is None:
         raise InterchangeError("events", "missing")
-    if (
-        not isinstance(events, list)
-        or not events
-        or not all(isinstance(e, str) for e in events)
-    ):
+    if not isinstance(events, list):
         raise InterchangeError("events", "must be a nonempty list of strings")
-    if len(set(events)) != len(events):
-        raise InterchangeError("events", "event names must be distinct")
-    n = len(events)
+    try:
+        n = len(_checked_labels(events))
+    except ValidationError as exc:
+        raise InterchangeError("events", str(exc)) from None
 
     rows = doc.get("matrix")
     if rows is None:

@@ -44,12 +44,11 @@ __all__ = [
 
 RelGrid = tuple[tuple[Rel, ...], ...]
 
-# The eight relation codes, and the converse and complement maps as
-# bytes.translate tables (which must have 256 entries; a grid with a code
-# from 8 up is rejected before the converse table is read).
+# The eight relation codes, and the converse map as a bytes.translate
+# table (which must have 256 entries; a grid with a code from 8 up is
+# rejected before the table is read).
 _CODES = bytes(range(8))
 _CONVERSE_BYTES = bytes(_CONVERSE) + bytes(range(8, 256))
-_COMPLEMENT_BYTES = bytes(code ^ 7 for code in range(256))
 
 # Full enumeration above four events would mean 8**10 and more matrices.
 ENUMERATION_MAX_EVENTS = 4
@@ -78,10 +77,11 @@ def _columns(codes: bytes, n: int, order: Iterable[int]) -> bytes:
 class SyncMatrix:
     """Pairwise relation grid plus the event names indexing it.
 
-    Labels and rows may be given as any sequences: the constructor stores
-    the labels as a tuple and the cells as relation codes, and checks the
-    invariants.  A matrix is immutable and compares and hashes by value;
-    pickling and copying go back through the constructor.
+    Labels may be any sequence of strings but a bare ``str``, and rows
+    any sequences: the constructor stores the labels as a tuple and the
+    cells as relation codes, and checks the invariants.  A matrix is
+    immutable and compares and hashes by value; pickling and copying go
+    back through the constructor.
     """
 
     __slots__ = ("labels", "_codes", "_cells")
@@ -97,15 +97,10 @@ class SyncMatrix:
             raise ValidationError(f"cell grid must be {n}x{n}") from None
         if len(cells) != n or any(len(row) != n for row in cells):
             raise ValidationError(f"cell grid must be {n}x{n}")
-        try:
-            typed = all(set(map(type, row)) == {Rel} for row in cells)
-            codes = b"".join(map(bytes, cells)) if typed else b"\xff"
-        except ValueError:  # a Rel code from 256 up
-            codes = b"\xff"
-        if codes.translate(None, _CODES):  # deleting the eight codes leaves something
-            bad = next(c for row in cells for c in row if type(c) is not Rel or c not in ALL_RELS)
-            raise ValidationError(f"cell {bad!r} is not a relation")
-        self._adopt(labels, codes)
+        for c in itertools.chain.from_iterable(cells):
+            if type(c) is not Rel or not 0 <= c < 8:  # IntFlag keeps unknown bits: Rel(8) is a Rel
+                raise ValidationError(f"cell {c!r} is not a relation")
+        self._adopt(labels, b"".join(map(bytes, cells)))
 
     @classmethod
     def _from_codes(cls, labels: Iterable[str], codes: bytes) -> "SyncMatrix":
@@ -170,13 +165,15 @@ class SyncMatrix:
         Repeated declarations for a pair conjoin, so contradictory inputs
         are representable: they simply intersect down to NEVER.
         """
-        # The constructor's label check raises on labels that are not iterable.
-        labels = tuple(labels) if isinstance(labels, Iterable) else _checked_labels(labels)
+        labels = _string_labels(labels)
         n = len(labels)
         grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
-        for i, j, rel in entries:
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
-                _check_pair("event index", i, j, n)
+        for entry in entries:
+            try:
+                i, j, rel = entry
+            except (TypeError, ValueError):
+                raise ValidationError(f"malformed entry {entry!r}") from None
+            _check_pair("event index", i, j, n)
             if i == j:
                 raise ValidationError(f"event {labels[i]!r} cannot constrain itself")
             if not isinstance(rel, Rel) or rel not in ALL_RELS:
@@ -229,7 +226,7 @@ class SyncMatrix:
 
     def complement_cells(self) -> RelGrid:
         """Cell-wise complement, as a raw grid: the diagonal becomes NEVER."""
-        return tuple(_gather(ALL_RELS, row.translate(_COMPLEMENT_BYTES)) for row in self._code_rows())
+        return tuple(tuple(map(Rel.complement, row)) for row in self.cells)
 
     def swap_events(self, i: int, j: int) -> "SyncMatrix":
         """Exchange two events: labels, rows, and columns move together."""
@@ -246,6 +243,9 @@ class SyncMatrix:
 
 
 def _string_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """The labels as a tuple of strings; a bare ``str`` is one name, not a sequence of them."""
+    if isinstance(labels, str):
+        raise ValidationError("event labels must be a sequence of strings")
     try:
         labels = tuple(labels)
     except TypeError:
@@ -349,8 +349,5 @@ def enumerate_matrices(n: int) -> Iterator[SyncMatrix]:
 def _enumerate(n: int) -> Iterator[SyncMatrix]:
     labels = default_labels(n)
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for combo in itertools.product(range(8), repeat=len(slots)):
-        grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
-        for (i, j), code in zip(slots, combo):
-            grid[i * n + j] = code
-        yield SyncMatrix._from_declared(labels, grid)
+    for combo in itertools.product(ALL_RELS, repeat=len(slots)):
+        yield SyncMatrix.from_entries(labels, [(i, j, rel) for (i, j), rel in zip(slots, combo)])

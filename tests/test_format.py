@@ -231,7 +231,7 @@ def test_spec_to_matrix_names_the_fault_of_a_plain_tuple_declaration(record, mes
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("events", [None, 5, (["a"],)])
+@pytest.mark.parametrize("events", [None, 5, (["a"],), "ab"])
 def test_spec_to_matrix_rejects_events_that_are_not_a_sequence_of_strings(events):
     with pytest.raises(ValidationError, match=r"^event labels must be a sequence of strings$"):
         spec_to_matrix(SyncSpec(events, ()))
@@ -389,6 +389,22 @@ def test_interchange_schema_errors_name_the_key(text, key):
     with pytest.raises(InterchangeError) as err:
         interchange_to_matrix(text)
     assert err.value.key == key
+
+
+@pytest.mark.parametrize(
+    "events,message",
+    [
+        ("[]", "a matrix needs at least one event"),
+        ('["a", 2]', "event labels must be a sequence of strings"),
+        ('["a", "a"]', "event labels must be distinct"),
+        ('"ab"', "must be a nonempty list of strings"),
+    ],
+    ids=["empty", "not-strings", "repeated", "not-a-list"],
+)
+def test_interchange_names_each_event_list_fault(events, message):
+    with pytest.raises(InterchangeError) as err:
+        interchange_to_matrix(f'{{"events": {events}, "matrix": [["any"]]}}')
+    assert str(err.value) == f"key 'events': {message}"
 
 
 @pytest.mark.parametrize("symbol", ['"<<"', "1", '["<"]', "null", "true"])

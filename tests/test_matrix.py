@@ -58,9 +58,16 @@ def test_from_entries_rejects_bad_input():
             ValidationError, match=re.escape(f"entry relation {rel!r} is not a relation")
         ):
             SyncMatrix.from_entries(("a", "b"), [(0, 1, rel)])
+    # An entry that does not unpack into (i, j, rel) is named, not a raw exception.
+    for entry in ((0, 1), (0, 1, Rel.LT, 0), None):
+        with pytest.raises(ValidationError, match=re.escape(f"malformed entry {entry!r}")):
+            SyncMatrix.from_entries(("a", "b"), [(0, 1, Rel.LT), entry])
+    # The labels are checked before the entries.
+    with pytest.raises(ValidationError, match=r"^event labels must be a sequence of strings$"):
+        SyncMatrix.from_entries(("a", 5), [(0, 0, Rel.LT)])
 
 
-@pytest.mark.parametrize("labels", [None, 3])
+@pytest.mark.parametrize("labels", [None, 3, "ab"])
 def test_from_entries_rejects_labels_that_are_not_a_sequence(labels):
     with pytest.raises(ValidationError, match=r"^event labels must be a sequence of strings$"):
         SyncMatrix.from_entries(labels, [])
@@ -252,6 +259,7 @@ def test_default_labels():
         (("a",), None),
         (("a", "b"), ((Rel.ANY, Rel.ANY), 5)),
         (("a", "b"), ((Rel.ANY, Rel(8)), (Rel(8), Rel.ANY))),
+        ("ab", ((Rel.ANY, Rel.ANY), (Rel.ANY, Rel.ANY))),
     ],
 )
 def test_constructor_rejects_malformed_labels_and_grids(labels, cells):

@@ -79,3 +79,29 @@ def test_module_reads_every_name_it_imports(path):
                     imported.add(alias.asname or alias.name.split(".")[0])
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+def test_package_reads_every_private_name_it_defines():
+    # Module-level names and class methods with one leading underscore,
+    # each of which some module must read as a name, an attribute or an import.
+    defined, read = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for member in [node, *node.body] if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(member, (ast.FunctionDef, ast.ClassDef)):
+                    names = [member.name]
+                elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+                    targets = member.targets if isinstance(member, ast.Assign) else [member.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                defined |= {(path.stem, name) for name in names if name[:1] == "_" and name[:2] != "__"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert sorted((stem, name) for stem, name in defined if name not in read) == []
