@@ -31,7 +31,7 @@ from collections import namedtuple
 from .algebra import _REL_OF_SYMBOL, CANONICAL_SYMBOLS, Rel
 from .closure import ClosureReport, _tuple_new
 from .errors import InterchangeError, ParseError, ValidationError
-from .matrix import SyncMatrix, _checked_labels, _gather, _string_labels
+from .matrix import SyncMatrix, _checked_labels, _gather
 
 __all__ = [
     "Constraint",
@@ -153,16 +153,18 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
     not a NeqMode member, such as its value ``"lt"`` or None, raises
     ValidationError.
     """
-    # The constructor's string check first; an empty or repeated event list fails after the declarations.
-    labels = _string_labels(spec.events)
+    labels = _checked_labels(spec.events)
     if not isinstance(neq_as, NeqMode):
         raise ValidationError(f"!= mode must be a NeqMode member, not {neq_as!r}")
     code_of = _CODE_OF_SYMBOL[neq_as]
     index = {name: k for k, name in enumerate(labels)}
     n = len(labels)
     grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
-    self_constrained = None  # the first event declared against itself, reported after every other fault
-    for record in spec.constraints:
+    try:
+        constraints = iter(spec.constraints)
+    except TypeError:
+        raise ValidationError(f"malformed declaration list {spec.constraints!r}") from None
+    for record in constraints:
         try:
             lhs, op, rhs, _ = record
             i, j = index[lhs], index[rhs]
@@ -174,10 +176,8 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
             grid[i * n + j] &= code_of[op]
         except (KeyError, TypeError):
             raise ValidationError(f"unknown relation symbol {op!r}") from None
-        if i == j and self_constrained is None:
-            self_constrained = labels[i]
-    if self_constrained is not None:
-        raise ValidationError(f"event {self_constrained!r} cannot constrain itself")
+        if i == j:
+            raise ValidationError(f"event {labels[i]!r} cannot constrain itself")
     return SyncMatrix._from_declared(labels, grid)
 
 

@@ -165,9 +165,13 @@ class SyncMatrix:
         Repeated declarations for a pair conjoin, so contradictory inputs
         are representable: they simply intersect down to NEVER.
         """
-        labels = _string_labels(labels)
+        labels = _checked_labels(labels)
         n = len(labels)
         grid = bytearray(b"\x07") * (n * n)  # Rel.ANY
+        try:
+            entries = iter(entries)
+        except TypeError:
+            raise ValidationError(f"malformed entry list {entries!r}") from None
         for entry in entries:
             try:
                 i, j, rel = entry
@@ -242,8 +246,8 @@ class SyncMatrix:
         return SyncMatrix._from_codes(_gather(self.labels, order), codes)
 
 
-def _string_labels(labels: Iterable[str]) -> tuple[str, ...]:
-    """The labels as a tuple of strings; a bare ``str`` is one name, not a sequence of them."""
+def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """The labels as a tuple of distinct strings, at least one; a bare ``str`` is not a label list."""
     if isinstance(labels, str):
         raise ValidationError("event labels must be a sequence of strings")
     try:
@@ -252,11 +256,6 @@ def _string_labels(labels: Iterable[str]) -> tuple[str, ...]:
         raise ValidationError("event labels must be a sequence of strings") from None
     if not all(isinstance(name, str) for name in labels):
         raise ValidationError("event labels must be a sequence of strings")
-    return labels
-
-
-def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
-    labels = _string_labels(labels)
     if not labels:
         raise ValidationError("a matrix needs at least one event")
     if len(set(labels)) != len(labels):

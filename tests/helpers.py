@@ -124,19 +124,25 @@ def substitute_neq(entries, mode):
 
 def reference_spec_to_matrix(spec, neq_as=NeqMode.KEEP):
     """spec_to_matrix as a list of entries written twice each on Rel cells,
-    kept to check its code grid."""
-    index = {name: k for k, name in enumerate(spec.events)}
+    kept to check its code grid.
+
+    The event list is checked first, through `SyncMatrix.unconstrained`; then
+    each declaration's fault is raised where it is read: an unknown event,
+    then an unknown symbol, then a self-constraint."""
+    labels = SyncMatrix.unconstrained(spec.events).labels
+    index = {name: k for k, name in enumerate(labels)}
     entries = []
     for c in spec.constraints:
         try:
-            entries.append((index[c.lhs], index[c.rhs], Rel.from_symbol(c.op)))
+            i, j = index[c.lhs], index[c.rhs]
         except KeyError as exc:
             raise ValidationError(f"unknown event {exc.args[0]!r}") from None
-    labels = tuple(spec.events)
-    cells = [[Rel.ANY] * len(labels) for _ in labels]
-    for i, j, rel in substitute_neq(entries, neq_as):
+        rel = Rel.from_symbol(c.op)
         if i == j:
             raise ValidationError(f"event {labels[i]!r} cannot constrain itself")
+        entries.append((i, j, rel))
+    cells = [[Rel.ANY] * len(labels) for _ in labels]
+    for i, j, rel in substitute_neq(entries, neq_as):
         cells[i][j] &= rel
         cells[j][i] &= rel.converse()
     return SyncMatrix(labels, cells)

@@ -192,10 +192,13 @@ def test_spec_to_matrix_names_the_first_bad_declaration(constraints, message):
     assert str(caught.value) == message
 
 
-def test_spec_to_matrix_reports_an_unknown_event_before_an_earlier_self_constraint():
-    spec = SyncSpec(("a", "b"), (Constraint("a", "<", "a", 1), Constraint("zz", "<", "b", 2)))
+def test_spec_to_matrix_reports_the_first_faulty_declaration():
+    self_first = SyncSpec(("a", "b"), (Constraint("a", "<", "a", 1), Constraint("zz", "<", "b", 2)))
+    with pytest.raises(ValidationError, match=r"^event 'a' cannot constrain itself$"):
+        spec_to_matrix(self_first)
+    unknown_first = SyncSpec(("a", "b"), (Constraint("zz", "<", "b", 1), Constraint("a", "<", "a", 2)))
     with pytest.raises(ValidationError, match=r"^unknown event 'zz'$"):
-        spec_to_matrix(spec)
+        spec_to_matrix(unknown_first)
 
 
 @pytest.mark.parametrize(
@@ -235,6 +238,20 @@ def test_spec_to_matrix_names_the_fault_of_a_plain_tuple_declaration(record, mes
 def test_spec_to_matrix_rejects_events_that_are_not_a_sequence_of_strings(events):
     with pytest.raises(ValidationError, match=r"^event labels must be a sequence of strings$"):
         spec_to_matrix(SyncSpec(events, ()))
+
+
+@pytest.mark.parametrize("constraints", [None, 5, 2.5, object()])
+def test_spec_to_matrix_rejects_a_declaration_list_that_is_not_iterable(constraints):
+    with pytest.raises(ValidationError) as caught:
+        spec_to_matrix(SyncSpec(("a", "b"), constraints))
+    assert str(caught.value) == f"malformed declaration list {constraints!r}"
+
+
+def test_spec_to_matrix_checks_the_whole_event_list_before_the_declarations():
+    for events, message in [((), "a matrix needs at least one event"), (("a", "a"), "event labels must be distinct")]:
+        spec = SyncSpec(events, (Constraint("zz", "<<", "zz", 1),))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            spec_to_matrix(spec, "lt")
 
 
 def test_spec_to_text_rejects_a_label_the_language_cannot_hold():

@@ -62,9 +62,15 @@ def test_from_entries_rejects_bad_input():
     for entry in ((0, 1), (0, 1, Rel.LT, 0), None):
         with pytest.raises(ValidationError, match=re.escape(f"malformed entry {entry!r}")):
             SyncMatrix.from_entries(("a", "b"), [(0, 1, Rel.LT), entry])
-    # The labels are checked before the entries.
+    # An entry list that is not iterable is named too.
+    for entries in (None, 5, 2.5, object()):
+        with pytest.raises(ValidationError, match=re.escape(f"malformed entry list {entries!r}")):
+            SyncMatrix.from_entries(("a", "b"), entries)
+    # The whole label rule is checked before the entries.
     with pytest.raises(ValidationError, match=r"^event labels must be a sequence of strings$"):
         SyncMatrix.from_entries(("a", 5), [(0, 0, Rel.LT)])
+    with pytest.raises(ValidationError, match=r"^event labels must be distinct$"):
+        SyncMatrix.from_entries(("a", "a"), 5)
 
 
 @pytest.mark.parametrize("labels", [None, 3, "ab"])

@@ -1,5 +1,5 @@
 """Property tests: the != invariant, format round trips, the parser and the
-closure kernel against their references, and CLI robustness.
+closure kernel against their references, and builder and CLI robustness.
 
 Every property runs a bounded number of examples from a fixed seed and
 keeps no example database, so every run draws the same examples.
@@ -7,6 +7,7 @@ keeps no example database, so every run draws the same examples.
 
 import contextlib
 import io
+import json
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from syncalg.algebra import ALL_RELS, CANONICAL_SYMBOLS, Rel
 from syncalg.cli import main
 from syncalg.closure import _propagate, close, equivalent
-from syncalg.errors import ParseError, ValidationError
+from syncalg.errors import ParseError, SyncAlgebraError, ValidationError
 from syncalg.format import (
     Constraint,
     NeqMode,
@@ -222,6 +223,66 @@ def test_spec_to_matrix_equals_the_reference_on_a_400_event_spec(fault, where):
         expected = build_outcome(reference_spec_to_matrix, spec, mode)
         assert (expected[0] is ValidationError) == (fault != "none")
         assert build_outcome(spec_to_matrix, spec, mode) == expected
+
+
+def junk(rng, depth=2):
+    """A value of a kind no builder reads as it stands, or a list or
+    generator of such values mixed with well-formed pieces."""
+    kinds = [
+        lambda: None,
+        lambda: rng.randrange(-2, 4),
+        lambda: rng.uniform(-1, 3),
+        lambda: float("nan"),
+        lambda: rng.random() < 0.5,
+        lambda: rng.choice(["", "a", "ab", "<", "zz"]),
+        lambda: b"ab",
+        lambda: {"a": junk(rng, 0)},
+        lambda: rng.choice(ALL_RELS),
+        object,
+    ]
+    if depth:
+        piece = [lambda: junk(rng, depth - 1), lambda: "a", lambda: (0, 1, Rel.LT), lambda: ("a", "<", "b", 1)]
+        kinds.append(lambda: [rng.choice(piece)() for _ in range(rng.randrange(4))])
+        kinds.append(lambda: (rng.choice(piece)() for _ in range(rng.randrange(4))))
+    return rng.choice(kinds)()
+
+
+def junk_json(rng, depth=2):
+    """A JSON value of any kind, lists nested up to ``depth``, or a symbol row."""
+    kinds = [
+        lambda: None,
+        lambda: rng.randrange(-2, 4),
+        lambda: rng.choice([0.5, float("nan")]),
+        lambda: rng.random() < 0.5,
+        lambda: rng.choice(["", "a", "any", "<"]),
+        lambda: {"a": 1},
+        lambda: ["any", rng.choice(["<", "any", "never", 1, None])],
+    ]
+    if depth:
+        kinds.append(lambda: [junk_json(rng, depth - 1) for _ in range(rng.randrange(3))])
+    return rng.choice(kinds)()
+
+
+def test_junk_input_raises_only_library_errors_from_every_builder():
+    rng = random.Random(20261024)
+
+    def labels():
+        return rng.choice([junk(rng), ("a", "b"), ["a", "b", "c"]])
+
+    for _ in range(2000):
+        builds = [
+            lambda: SyncMatrix(labels(), junk(rng)),
+            lambda: SyncMatrix.from_entries(labels(), junk(rng)),
+            lambda: spec_to_matrix(SyncSpec(labels(), junk(rng)), rng.choice([*NeqMode, junk(rng)])),
+            lambda: interchange_to_matrix(
+                json.dumps(rng.choice([junk_json(rng), {"events": junk_json(rng), "matrix": junk_json(rng)}]))
+            ),
+        ]
+        for build in builds:
+            try:
+                build()
+            except SyncAlgebraError:
+                pass
 
 
 @st.composite

@@ -2,13 +2,15 @@
 
 Every module the package re-exports declares ``__all__``; the package's
 ``__all__`` is the oracle's names plus those lists, and a star import of a
-module binds exactly its ``__all__``.
+module binds exactly its ``__all__``.  Every module imports only the
+standard library.
 """
 
 import ast
 import importlib
 import inspect
 import pathlib
+import sys
 import types
 
 import pytest
@@ -79,6 +81,14 @@ def test_module_reads_every_name_it_imports(path):
                     imported.add(alias.asname or alias.name.split(".")[0])
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_module_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert sorted({name.split(".")[0] for name in absolute} - sys.stdlib_module_names) == []
 
 
 def test_package_reads_every_private_name_it_defines():
