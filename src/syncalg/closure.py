@@ -53,29 +53,19 @@ _THROUGH_BYTES = bytes(_COMPOSE[code >> 3][_CONVERSE[code & 7]] for code in rang
 _tuple_new = tuple.__new__
 
 
-class ImpliedChange(namedtuple("ImpliedChange", "i j before after")):
-    """One cell the closure shrank: (i, j) with its before and after ``Rel``."""
+ImpliedChange = namedtuple("ImpliedChange", "i j before after")
+ImpliedChange.__doc__ = """One cell the closure shrank: (i, j) with its before and after ``Rel``."""
 
-    __slots__ = ()
+ClosureReport = namedtuple("ClosureReport", "closed bounds deadlocked deadlock_pairs implied iterations")
+ClosureReport.__doc__ = """Everything the closure of one matrix reveals.
 
-
-class ClosureReport(
-    namedtuple(
-        "ClosureReport",
-        "closed bounds deadlocked deadlock_pairs implied iterations",
-    )
-):
-    """Everything the closure of one matrix reveals.
-
-    ``closed`` is the closed ``SyncMatrix`` and ``bounds`` a tuple of
-    ``Bound``, one per event.  ``deadlock_pairs`` (index pairs) and
-    ``implied`` (``ImpliedChange`` records) list above-diagonal positions
-    only, since the mirror cells carry the same information.
-    ``iterations`` counts full sweeps including the final one that
-    verified the fixpoint.
-    """
-
-    __slots__ = ()
+``closed`` is the closed ``SyncMatrix`` and ``bounds`` a tuple of
+``Bound``, one per event.  ``deadlock_pairs`` (index pairs) and
+``implied`` (``ImpliedChange`` records) list above-diagonal positions
+only, since the mirror cells carry the same information.
+``iterations`` counts full sweeps including the final one that
+verified the fixpoint.
+"""
 
 
 def _propagate(grid: list[list[int]], pair_order: Sequence[tuple[int, int]]) -> int:

@@ -55,16 +55,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _QUOTED = tuple(f'"{symbol}"' for symbol in CANONICAL_SYMBOLS)
 
 
-class Constraint(namedtuple("Constraint", "lhs op rhs line")):
-    """One directed declaration, with its 1-based source line (0 if synthesized)."""
+Constraint = namedtuple("Constraint", "lhs op rhs line")
+Constraint.__doc__ = """One directed declaration, with its 1-based source line (0 if synthesized)."""
 
-    __slots__ = ()
-
-
-class SyncSpec(namedtuple("SyncSpec", "events constraints")):
-    """A parsed declaration file: event order plus directed constraints."""
-
-    __slots__ = ()
+SyncSpec = namedtuple("SyncSpec", "events constraints")
+SyncSpec.__doc__ = """A parsed declaration file: event order plus directed constraints."""
 
 
 def parse_spec(text: str) -> SyncSpec:
@@ -200,15 +195,24 @@ def spec_to_text(spec: SyncSpec) -> str:
     reads back as another (a label ``a b``, or events ``never any``, whose
     directive reads as a constraint) raises ValidationError.
     """
-    lines = ["events " + " ".join(spec.events)] if spec.events else []
-    lines += [f"{c.lhs} {c.op} {c.rhs}" for c in spec.constraints]
-    text = "\n".join(lines) + "\n"
+    events = () if spec.events in ((), []) else _checked_labels(spec.events)  # () writes no directive
+    try:
+        constraints, written = iter(spec.constraints), []
+    except TypeError:
+        raise ValidationError(f"malformed declaration list {spec.constraints!r}") from None
+    for record in constraints:
+        try:
+            lhs, op, rhs, _ = record
+        except (TypeError, ValueError):
+            raise ValidationError(f"malformed declaration {record!r}") from None
+        written.append((lhs, op, rhs))
+    lines = ["events " + " ".join(events)] if events else []
+    text = "\n".join(lines + [f"{lhs} {op} {rhs}" for lhs, op, rhs in written]) + "\n"
     try:
         back = parse_spec(text)
     except ParseError as exc:
         raise ValidationError(f"spec does not read back from declaration text: {exc}") from None
-    written = (tuple(spec.events), [(c.lhs, c.op, c.rhs) for c in spec.constraints])
-    if (back.events, [c[:3] for c in back.constraints]) != written:
+    if (back.events, [c[:3] for c in back.constraints]) != (events, written):
         raise ValidationError("spec reads back from declaration text as a different system")
     return text
 

@@ -88,7 +88,7 @@ class SyncMatrix:
     __match_args__ = ("labels", "cells")
     labels: tuple[str, ...]
 
-    def __init__(self, labels: Iterable[str], cells: Iterable[Iterable[Rel]]):
+    def __new__(cls, labels: Iterable[str], cells: Iterable[Iterable[Rel]]):
         labels = _checked_labels(labels)
         n = len(labels)
         try:
@@ -100,20 +100,18 @@ class SyncMatrix:
         for c in itertools.chain.from_iterable(cells):
             if type(c) is not Rel or not 0 <= c < 8:  # IntFlag keeps unknown bits: Rel(8) is a Rel
                 raise ValidationError(f"cell {c!r} is not a relation")
-        self._adopt(labels, b"".join(map(bytes, cells)))
+        return cls._from_codes(labels, b"".join(map(bytes, cells)))
 
     @classmethod
     def _from_codes(cls, labels: Iterable[str], codes: bytes) -> "SyncMatrix":
         """Build from n*n row-major relation codes, with the constructor's checks."""
-        self = object.__new__(cls)
-        self._adopt(_checked_labels(labels), bytes(codes))
-        return self
-
-    def _adopt(self, labels: tuple[str, ...], codes: bytes) -> None:
+        labels = _checked_labels(labels)
         _check_codes(codes, len(labels))
+        self = object.__new__(cls)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_codes", bytes(codes))
         object.__setattr__(self, "_cells", None)
+        return self
 
     @property
     def cells(self) -> RelGrid:

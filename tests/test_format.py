@@ -269,6 +269,36 @@ def test_spec_to_text_rejects_a_directive_that_reads_as_a_constraint():
         spec_to_text(spec)
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (SyncSpec(("a", "b"), 5), "malformed declaration list 5"),
+        (SyncSpec(("a", "b"), None), "malformed declaration list None"),
+        (SyncSpec(("a", "b"), "ab"), "malformed declaration 'a'"),
+        (SyncSpec(("a", "b"), (("a", "<", "b"),)), "malformed declaration ('a', '<', 'b')"),
+        (SyncSpec(("a", "b"), (7,)), "malformed declaration 7"),
+        (SyncSpec(5, ()), "event labels must be a sequence of strings"),
+        (SyncSpec(None, ()), "event labels must be a sequence of strings"),
+        (SyncSpec("ab", ()), "event labels must be a sequence of strings"),
+        (SyncSpec(("a", "a"), ()), "event labels must be distinct"),
+    ],
+    ids=lambda x: repr(x) if isinstance(x, SyncSpec) else None,
+)
+def test_spec_to_text_reads_a_spec_by_the_matrix_builder_rules(spec, message):
+    for write in (spec_to_text, spec_to_matrix):
+        with pytest.raises(ValidationError) as caught:
+            write(spec)
+        assert str(caught.value) == message
+
+
+def test_spec_to_text_writes_a_plain_record_as_its_constraint():
+    records = [("a", "<", "b", 0), ("b", "!=", "c", 7)]
+    plain = spec_to_text(SyncSpec(("a", "b", "c"), records))
+    assert plain == spec_to_text(SyncSpec(("a", "b", "c"), tuple(Constraint(*r) for r in records)))
+    assert plain == "events a b c\na < b\nb != c\n"
+    assert spec_to_text(SyncSpec((), ())) == "\n"
+
+
 def test_interchange_round_trip():
     m = SyncMatrix.from_entries(("a", "b"), [(0, 1, Rel.GE)])
     text = matrix_to_interchange(m)

@@ -277,6 +277,7 @@ def test_junk_input_raises_only_library_errors_from_every_builder():
             lambda: interchange_to_matrix(
                 json.dumps(rng.choice([junk_json(rng), {"events": junk_json(rng), "matrix": junk_json(rng)}]))
             ),
+            lambda: spec_to_text(SyncSpec(labels(), junk(rng))),
         ]
         for build in builds:
             try:

@@ -3,7 +3,8 @@
 Every module the package re-exports declares ``__all__``; the package's
 ``__all__`` is the oracle's names plus those lists, and a star import of a
 module binds exactly its ``__all__``.  Every module imports only the
-standard library.
+standard library.  A record is one class, and one builder sets a matrix's
+fields.
 """
 
 import ast
@@ -115,3 +116,39 @@ def test_package_reads_every_private_name_it_defines():
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     assert sorted((stem, name) for stem, name in defined if name not in read) == []
+
+
+def test_no_record_subclasses_its_named_tuple_for_a_docstring():
+    # A named tuple already has empty __slots__; its docstring is set on it.
+    shells = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ClassDef) and len(node.bases) == 1 and isinstance(node.bases[0], ast.Call)):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if ast.unparse(node.bases[0].func) == "namedtuple" and all(
+                ast.unparse(stmt) == "__slots__ = ()" for stmt in body
+            ):
+                shells.append((path.stem, node.name))
+    assert shells == []
+
+
+def _field_setters(node, scope):
+    """The scopes that set ``labels``, ``_codes`` or an unnamed field through ``object.__setattr__``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}"
+        else:
+            inner = scope
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__setattr__":
+            name = child.args[1] if len(child.args) > 1 else None
+            if not (isinstance(name, ast.Constant) and name.value not in ("labels", "_codes")):
+                yield inner
+        yield from _field_setters(child, inner)
+
+
+def test_only_the_code_builder_sets_a_matrix_labels_and_codes():
+    setters = set()
+    for path in SOURCES:
+        setters.update(_field_setters(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert setters == {"matrix.SyncMatrix._from_codes"}
