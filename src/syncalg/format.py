@@ -53,6 +53,8 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Each symbol as json.dumps writes it: none holds a character it escapes.
 _QUOTED = tuple(f'"{symbol}"' for symbol in CANONICAL_SYMBOLS)
+# Each symbol to its CANONICAL_SYMBOLS object, which parsed records share.
+_SHARED_SYMBOL = {symbol: symbol for symbol in CANONICAL_SYMBOLS}
 
 
 Constraint = namedtuple("Constraint", "lhs op rhs line")
@@ -63,10 +65,15 @@ SyncSpec.__doc__ = """A parsed declaration file: event order plus directed const
 
 
 def parse_spec(text: str) -> SyncSpec:
-    """Parse declaration text; all errors carry the offending line number."""
-    # Insertion-ordered: one dict is the event order and the name set.  It
-    # is empty exactly until a significant line has been read.
-    roster: dict[str, None] = {}
+    """Parse declaration text; all errors carry the offending line number.
+
+    Records share their strings: each name is the one object in the
+    events, and each symbol the CANONICAL_SYMBOLS entry.
+    """
+    # Insertion-ordered: one dict is the event order, the name set and each
+    # name's shared object (the directive's token, or the first mention).
+    # It is empty exactly until a significant line has been read.
+    roster: dict[str, str] = {}
     constraints: list[Constraint] = []
     closed_roster = False
 
@@ -77,10 +84,14 @@ def parse_spec(text: str) -> SyncSpec:
         tokens = line.split()
         if len(tokens) == 3:
             # A constraint on two listed events passes every check below.
-            lhs, op, rhs = tokens
-            if lhs in roster and rhs in roster and op in _REL_OF_SYMBOL and lhs != rhs:
-                constraints.append(_tuple_new(Constraint, (lhs, op, rhs, lineno)))
-                continue
+            try:
+                lhs, op, rhs = roster[tokens[0]], _SHARED_SYMBOL[tokens[1]], roster[tokens[2]]
+            except KeyError:
+                pass
+            else:
+                if lhs is not rhs:
+                    constraints.append(_tuple_new(Constraint, (lhs, op, rhs, lineno)))
+                    continue
         if not tokens:
             continue
         # "events < done" constrains an event named "events": no directive.
@@ -93,7 +104,7 @@ def parse_spec(text: str) -> SyncSpec:
                     raise ParseError(lineno, f"invalid event name {name!r}")
                 if name in roster:
                     raise ParseError(lineno, f"event {name!r} listed twice")
-                roster[name] = None
+                roster[name] = name
             closed_roster = True
             continue
         if len(tokens) != 3:
@@ -111,8 +122,9 @@ def parse_spec(text: str) -> SyncSpec:
         for name in (lhs, rhs):
             if closed_roster and name not in roster:
                 raise ParseError(lineno, f"event {name!r} not named in the events directive")
-            roster[name] = None  # a name already listed keeps its place
-        constraints.append(_tuple_new(Constraint, (lhs, op, rhs, lineno)))
+        # A name already listed keeps its place and its object.
+        lhs, rhs = roster.setdefault(lhs, lhs), roster.setdefault(rhs, rhs)
+        constraints.append(_tuple_new(Constraint, (lhs, _SHARED_SYMBOL[op], rhs, lineno)))
 
     return SyncSpec(tuple(roster), tuple(constraints))
 

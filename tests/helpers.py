@@ -70,6 +70,17 @@ def reference_propagate(cells, pair_order=None):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def shares_strings(spec: SyncSpec) -> bool:
+    """Whether every record's names are the spec's event objects and its
+    symbol the CANONICAL_SYMBOLS object."""
+    events = {name: name for name in spec.events}
+    symbols = {symbol: symbol for symbol in CANONICAL_SYMBOLS}
+    return all(
+        c.lhs is events[c.lhs] and c.rhs is events[c.rhs] and c.op is symbols[c.op]
+        for c in spec.constraints
+    )
+
+
 def reference_parse_spec(text):
     """parse_spec with every line through every check, kept to check its fast path."""
     roster = {}

@@ -24,7 +24,7 @@ from syncalg.format import (
 )
 from syncalg.matrix import SyncMatrix
 
-from helpers import planted_matrix, random_matrix, reference_report_to_interchange
+from helpers import planted_matrix, random_matrix, reference_report_to_interchange, shares_strings
 
 
 def test_parse_with_directive():
@@ -39,6 +39,21 @@ def test_parse_with_directive():
 def test_parse_without_directive_registers_by_first_mention():
     spec = parse_spec("x > y\nz != x\n")
     assert spec.events == ("x", "y", "z")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "events load store flush\nload <= store\nflush never load\n",  # directive
+        "load <= store\nstore != load\nflush >= store\n",  # first mention; flush on the slow path
+    ],
+    ids=["directive", "first mention"],
+)
+def test_parsed_records_share_the_event_and_symbol_objects(text):
+    spec = parse_spec(text)
+    assert spec.events == ("load", "store", "flush")
+    assert spec.constraints[0].lhs is spec.events[0]
+    assert shares_strings(spec)
 
 
 def test_parse_skips_comments_and_blanks():
