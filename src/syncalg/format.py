@@ -65,11 +65,14 @@ SyncSpec.__doc__ = """A parsed declaration file: event order plus directed const
 
 
 def parse_spec(text: str) -> SyncSpec:
-    """Parse declaration text; all errors carry the offending line number.
+    """Parse declaration text; every ParseError carries the offending line number.
 
     Records share their strings: each name is the one object in the
-    events, and each symbol the CANONICAL_SYMBOLS entry.
+    events, and each symbol the CANONICAL_SYMBOLS entry.  Text that is
+    not a ``str`` raises ValidationError.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"declaration text must be a str, not {type(text).__name__}")
     # Insertion-ordered: one dict is the event order, the name set and each
     # name's shared object (the directive's token, or the first mention).
     # It is empty exactly until a significant line has been read.
@@ -274,7 +277,7 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
 
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, or a huge integer
+    except (ValueError, RecursionError, TypeError) as exc:  # JSONDecodeError or a huge integer; not text
         raise InterchangeError(None, f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InterchangeError(None, "top-level value must be an object")

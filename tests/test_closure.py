@@ -88,23 +88,25 @@ def test_fixpoint_is_sweep_order_independent():
     for _ in range(40):
         m = random_matrix(rng, 4)
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        reference = [list(bytes(row)) for row in m.cells]
-        _propagate(reference, pairs)
+        kernel = [list(bytes(row)) for row in m.cells]
+        _propagate(kernel)
         rng.shuffle(pairs)
-        shuffled = [list(bytes(row)) for row in m.cells]
-        _propagate(shuffled, pairs)
-        assert shuffled == reference
+        shuffled = [list(row) for row in m.cells]
+        reference_propagate(shuffled, pairs)
+        assert kernel == shuffled
 
 
 def assert_kernel_matches_reference(m, pair_order=None):
+    """The kernel reaches the cells the reference sweep reaches in ``pair_order``;
+    the pass counts agree in the kernel's own order, the canonical one."""
     expected = [list(row) for row in m.cells]
     expected_passes = reference_propagate(expected, pair_order)
-    if pair_order is None:
-        pair_order = [(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
     got = [list(bytes(row)) for row in m.cells]
-    assert _propagate(got, pair_order) == expected_passes
+    passes = _propagate(got)
     assert got == expected
     assert all(type(code) is int for row in got for code in row)
+    if pair_order is None:
+        assert passes == expected_passes
 
 
 def assert_report_matches_reference(m):
@@ -155,8 +157,9 @@ def test_int_kernel_on_one_and_two_events():
 
 
 def test_int_kernel_matches_the_rel_sweep_on_reversed_and_repeated_pairs():
-    # A reversed pair (j, i) scans row j against row i; a repeated pair
-    # scans again later in the same pass.
+    # The reference sweeps a reversed pair (j, i) as row j against row i and
+    # a repeated pair again later in the same pass; it still reaches the
+    # kernel's cells.
     rng = random.Random(29)
     for trial in range(120):
         n = rng.randrange(2, 10)

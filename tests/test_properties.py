@@ -138,8 +138,10 @@ def grids_and_pair_orders(draw):
 def test_kernel_equals_the_rel_sweep_in_any_pair_order(case):
     cells, pair_order = case
     codes = [list(map(int, row)) for row in cells]
-    assert _propagate(codes, pair_order) == reference_propagate(cells, pair_order)
-    assert codes == cells
+    canonical = [list(row) for row in cells]
+    assert _propagate(codes) == reference_propagate(canonical)
+    reference_propagate(cells, pair_order)
+    assert codes == canonical == cells
 
 
 @st.composite
@@ -281,6 +283,8 @@ def test_junk_input_raises_only_library_errors_from_every_builder():
                 json.dumps(rng.choice([junk_json(rng), {"events": junk_json(rng), "matrix": junk_json(rng)}]))
             ),
             lambda: spec_to_text(SyncSpec(labels(), junk(rng))),
+            lambda: interchange_to_matrix(junk(rng)),
+            lambda: parse_spec(junk(rng)),
         ]
         for build in builds:
             try:
