@@ -28,9 +28,7 @@ k at once, and three masked compares intersect the results.  The
 k == i and k == j bytes meet the diagonal ``any``, which narrows
 nothing.  Two exact skips replace scans: a pair at ``never`` cannot
 narrow, and a pair whose row i or j holds a ``never`` becomes
-``never``, since composing with ``never`` gives ``never``.  On planted
-systems (Python 3.11) the kernel takes about 2.0 ms at n = 40 and
-0.11 s at n = 200.
+``never``, since composing with ``never`` gives ``never``.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .algebra import _REL_OF_SYMBOL, CANONICAL_SYMBOLS, Rel
 from .closure import ClosureReport, _tuple_new
@@ -206,21 +207,18 @@ def matrix_to_spec(matrix: SyncMatrix) -> SyncSpec:
 def spec_to_text(spec: SyncSpec) -> str:
     """Render a spec back to declaration text, directive first.
 
-    The text is parsed back, so the grammar has one owner: a spec that
-    reads back as another (a label ``a b``, or events ``never any``, whose
-    directive reads as a constraint) raises ValidationError.
+    The spec is read by ``spec_to_matrix`` and raises its errors; only
+    the empty spec writes an empty text.  The text is parsed back, so a
+    spec that reads back as another (a label ``a b``, or events ``never
+    any``, a directive read as a constraint) raises ValidationError.
     """
     events = () if spec.events in ((), []) else _checked_labels(spec.events)  # () writes no directive
-    try:
-        constraints, written = iter(spec.constraints), []
-    except TypeError:
-        raise ValidationError(f"malformed declaration list {spec.constraints!r}") from None
-    for record in constraints:
-        try:
-            lhs, op, rhs, _ = record
-        except (TypeError, ValueError):
-            raise ValidationError(f"malformed declaration {record!r}") from None
-        written.append((lhs, op, rhs))
+    records = spec.constraints
+    if isinstance(records, Iterable):  # else spec_to_matrix names it
+        records = tuple(records)  # read once: it may be a generator
+    if events or records != ():  # the empty spec builds no matrix
+        spec_to_matrix(SyncSpec(events, records))
+    written = [(lhs, op, rhs) for lhs, op, rhs, _ in records]
     lines = ["events " + " ".join(events)] if events else []
     text = "\n".join(lines + [f"{lhs} {op} {rhs}" for lhs, op, rhs in written]) + "\n"
     try:
@@ -275,9 +273,11 @@ def interchange_to_matrix(text: str) -> SyncMatrix:
     """
     import json
 
+    if not isinstance(text, str):
+        raise InterchangeError(None, f"document must be a str, not {type(text).__name__}")
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError, TypeError) as exc:  # JSONDecodeError or a huge integer; not text
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError or a huge integer
         raise InterchangeError(None, f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InterchangeError(None, "top-level value must be an object")

@@ -104,6 +104,27 @@ def test_close_verify_names_cells_looser_than_the_exact_network(write, capsys):
     assert "every closed cell equals the exact network" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda report: report._replace(deadlocked=not report.deadlocked),
+         "closure and exhaustive search disagree on deadlock"),
+        (lambda report: report._replace(closed=SyncMatrix.from_entries(report.closed.labels, [(0, 1, Rel.GT)])),
+         "closed cell (0,1) excludes a realizable ordering"),
+    ],
+    ids=["deadlock-verdict", "narrowed-cell"],
+)
+def test_close_verify_fails_on_an_unsound_closure(write, capsys, monkeypatch, corrupt, message):
+    # A closure that flips the verdict, or narrows a < b to >, is what
+    # --verify exists to catch: the command prints nothing and exits 1.
+    path = write("pair.sync", "a < b\n")
+    monkeypatch.setattr("syncalg.cli.close", lambda matrix: corrupt(close(matrix)))
+    assert main(["close", path, "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: soundness violation: {message}\n"
+
+
 def test_close_verify_past_the_oracle_ceiling_skips_the_check(write, capsys):
     # Eight events need 9**8 assignments, past the exhaustive search's ceiling.
     path = write("chain8.sync", "".join(f"{a} < {b}\n" for a, b in zip("abcdefg", "bcdefgh")))

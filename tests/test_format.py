@@ -296,6 +296,10 @@ def test_spec_to_text_rejects_a_directive_that_reads_as_a_constraint():
         (SyncSpec(None, ()), "event labels must be a sequence of strings"),
         (SyncSpec("ab", ()), "event labels must be a sequence of strings"),
         (SyncSpec(("a", "a"), ()), "event labels must be distinct"),
+        (SyncSpec(("a", "b"), (("a", "<", "zz", 1),)), "unknown event 'zz'"),
+        (SyncSpec(("a", "b"), (("a", "~", "b", 1),)), "unknown relation symbol '~'"),
+        (SyncSpec(("a", "b"), (("a", "<", "a", 1),)), "event 'a' cannot constrain itself"),
+        (SyncSpec((), (("a", "<", "b", 1),)), "a matrix needs at least one event"),
     ],
     ids=lambda x: repr(x) if isinstance(x, SyncSpec) else None,
 )
@@ -479,6 +483,23 @@ def test_interchange_names_the_first_bad_symbol(symbol):
         interchange_to_matrix(text)
     shown = repr(json.loads(symbol))
     assert str(err.value) == f"key 'matrix': unknown relation symbol {shown}"
+
+
+PAIR_DOCUMENT = '{"events": ["a", "b"], "matrix": [["any", "<"], [">", "any"]]}'
+
+
+@pytest.mark.parametrize(
+    "document",
+    [PAIR_DOCUMENT.encode(), bytearray(PAIR_DOCUMENT.encode()), PAIR_DOCUMENT.encode("utf-16")],
+    ids=["bytes", "bytearray", "utf-16"],
+)
+def test_interchange_refuses_a_document_that_is_not_a_str(document):
+    # Like parse_spec, interchange_to_matrix decodes no bytes.
+    assert interchange_to_matrix(PAIR_DOCUMENT).labels == ("a", "b")
+    with pytest.raises(InterchangeError) as err:
+        interchange_to_matrix(document)
+    assert err.value.key is None
+    assert str(err.value) == f"document must be a str, not {type(document).__name__}"
 
 
 def test_interchange_ignores_unknown_keys():

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, seed, settings
@@ -291,6 +292,54 @@ def test_junk_input_raises_only_library_errors_from_every_builder():
                 build()
             except SyncAlgebraError:
                 pass
+
+
+def near_valid_spec(rng):
+    """Events, records and a wrapper that makes the declaration list of a
+    spec.  Each part is well formed, near valid (an unknown name or symbol,
+    a self-constraint, a label the grammar cannot hold, a directive that
+    reads as a constraint) or junk; the list is a tuple, list or generator."""
+    events = rng.choice([(), [], ("a", "b", "c"), ["a", "b"], ("a", "b c"), ("never", "any"), junk(rng, 0)])
+    known = [name for name in events if isinstance(name, str)] if isinstance(events, (tuple, list)) else []
+    others = ["a", "b", "b c", "never", "zz"]
+
+    def record():
+        lhs, rhs = (rng.choice(known if known and rng.random() < 0.9 else others) for _ in range(2))
+        op = rng.choice(CANONICAL_SYMBOLS) if rng.random() < 0.9 else rng.choice(["~", Rel.LT, None])
+        return rng.choice([Constraint, lambda *r: r, lambda *r: list(r)])(lhs, op, rhs, 0)
+
+    records = [record() if rng.random() < 0.9 else junk(rng, 1) for _ in range(rng.randrange(4))]
+    return events, records, rng.choice([tuple, list, lambda rs: (r for r in rs)])
+
+
+def test_spec_to_text_writes_what_spec_to_matrix_accepts_and_names_what_it_refuses():
+    rng = random.Random(20261025)
+    outcomes = Counter()
+    for _ in range(3000):
+        events, records, wrap = near_valid_spec(rng)
+        try:
+            built = spec_to_matrix(SyncSpec(events, wrap(records)))
+        except ValidationError as exc:
+            built = exc
+        try:
+            text = spec_to_text(SyncSpec(events, wrap(records)))
+        except ValidationError as exc:
+            if isinstance(built, ValidationError):
+                assert str(exc) == str(built)
+                outcomes["builder refuses"] += 1
+            else:
+                assert str(exc).startswith(("spec does not read back", "spec reads back"))
+                outcomes["read-back refuses"] += 1
+            continue
+        if isinstance(built, ValidationError):
+            assert text == "\n" and events in ((), []) and records == []
+            outcomes["empty"] += 1
+        else:
+            back = parse_spec(text)
+            assert back.events == built.labels
+            assert [c[:3] for c in back.constraints] == [tuple(r)[:3] for r in records]
+            outcomes["written"] += 1
+    assert min(outcomes[k] for k in ("builder refuses", "read-back refuses", "empty", "written")) >= 50, outcomes
 
 
 @st.composite
