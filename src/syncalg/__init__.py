@@ -8,38 +8,14 @@ for cross-checking, text and JSON serializations, and a command-line
 front end.
 """
 
-from . import algebra, closure, errors, format, matrix
+from . import algebra, closure, errors, format, matrix, oracle
 from .algebra import *
 from .closure import *
 from .errors import *
 from .format import *
 from .matrix import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-# The oracle is the slow reference, and of the commands only
-# ``close --verify`` uses it, so it is imported on first access to one of
-# its names (PEP 562) rather than with the package.  Every other public
-# name is listed once, in its own module's ``__all__``.
-__all__ = [
-    "DEFAULT_ASSIGNMENT_CEILING",
-    "PairSet",
-    "atom_of",
-    "minimal_network",
-    "pairs_of",
-    "satisfies",
-]
-_ORACLE_NAMES = frozenset(__all__)
-__all__ += algebra.__all__
-__all__ += closure.__all__
-__all__ += errors.__all__
-__all__ += format.__all__
-__all__ += matrix.__all__
-
-
-def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
-
-    return getattr(oracle, name)
+__all__ = algebra.__all__ + closure.__all__ + errors.__all__ + format.__all__ + matrix.__all__ + oracle.__all__

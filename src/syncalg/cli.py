@@ -31,6 +31,7 @@ from .format import (
     to_dot,
 )
 from .matrix import SyncMatrix, _gather, atom_matrices, matrix_count
+from .oracle import minimal_network
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,8 +91,6 @@ def _verify_report(matrix: SyncMatrix, report: ClosureReport) -> None:
     Past the oracle's assignment ceiling the cross-check is skipped with a
     note; the closure is still printed.
     """
-    from .oracle import minimal_network  # the slow reference, loaded only here
-
     try:
         grid, satisfiable = minimal_network(matrix)
     except GuardError as exc:

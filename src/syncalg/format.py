@@ -176,6 +176,10 @@ def spec_to_matrix(spec: SyncSpec, neq_as: NeqMode = NeqMode.KEEP) -> SyncMatrix
     except TypeError:
         raise ValidationError(f"malformed declaration list {spec.constraints!r}") from None
     for record in constraints:
+        # Only a tuple or a list holds its fields in a fixed order (a set's
+        # follows the hash seed); a Constraint skips the slower isinstance.
+        if type(record) is not Constraint and not isinstance(record, (tuple, list)):
+            raise ValidationError(f"malformed declaration {record!r}")
         try:
             lhs, op, rhs, _ = record
             i, j = index[lhs], index[rhs]

@@ -17,12 +17,14 @@ any consistent mix of strict orders and ties fits inside the domain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .algebra import Rel
 from .errors import GuardError, ValidationError
 from .matrix import RelGrid, SyncMatrix
+
+__all__ = ["DEFAULT_ASSIGNMENT_CEILING", "PairSet", "atom_of", "minimal_network", "pairs_of", "satisfies"]
 
 DEFAULT_ASSIGNMENT_CEILING = 10_000_000
 
@@ -36,19 +38,18 @@ def atom_of(x: int, y: int) -> Rel:
     return Rel.GT
 
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(namedtuple("PairSet", "domain_size pairs")):
     """A relation extensionally: the ordered pairs it admits over 0..d-1."""
 
-    domain_size: int
-    pairs: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.domain_size < 2:
+    def __new__(cls, domain_size: int, pairs: frozenset[tuple[int, int]]):
+        if domain_size < 2:
             raise ValidationError("pair-set domain needs at least two points")
-        for x, y in self.pairs:
-            if not (0 <= x < self.domain_size and 0 <= y < self.domain_size):
-                raise ValidationError(f"pair {(x, y)} outside domain 0..{self.domain_size - 1}")
+        for x, y in pairs:
+            if not (0 <= x < domain_size and 0 <= y < domain_size):
+                raise ValidationError(f"pair {(x, y)} outside domain 0..{domain_size - 1}")
+        return super().__new__(cls, domain_size, pairs)
 
     def _check_peer(self, other: "PairSet") -> None:
         if self.domain_size != other.domain_size:

@@ -390,16 +390,18 @@ def _imported(args):
     return proc, names
 
 
-# Modules only --verify or interchange output need, and dataclasses with
-# the inspect it pulls in, which no command needs.
-NOT_ON_THE_COMMAND_PATH = {"dataclasses", "inspect", "json", "syncalg.oracle"}
+# The module only interchange output needs, and dataclasses with the
+# inspect it pulls in, which no command needs.
+NOT_ON_THE_COMMAND_PATH = {"dataclasses", "inspect", "json"}
 
 
-@pytest.mark.parametrize("command", ["close", "deadlock", "bounds", "dot"])
+@pytest.mark.parametrize(
+    "command", [["close"], ["deadlock"], ["bounds"], ["dot"], ["close", "--verify"]], ids=" ".join
+)
 def test_plain_commands_import_only_what_they_run(write, command):
     path = write("chain.sync", "a < b\nb < c\n")
     _, at_start = _imported(["-c", "pass"])
-    proc, loaded = _imported(["-m", "syncalg", command, path])
+    proc, loaded = _imported(["-m", "syncalg", *command, path])
     assert proc.returncode == 0
     assert "syncalg.cli" in loaded
     assert not (loaded - at_start) & NOT_ON_THE_COMMAND_PATH

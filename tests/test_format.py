@@ -234,6 +234,24 @@ def test_spec_to_matrix_names_a_malformed_declaration_record(record):
 
 
 @pytest.mark.parametrize(
+    "record",
+    [
+        iter(("a", "<", "b", 1)),
+        "a<b1",
+        {"a": 0, "<": 0, "b": 0, 1: 0},
+        {"a", "<", "b", 1},  # its order would follow the string hash seed
+    ],
+    ids=["iterator", "str", "dict", "set"],
+)
+def test_a_declaration_record_is_a_tuple_or_a_list(record):
+    for write in (spec_to_text, spec_to_matrix):
+        with pytest.raises(ValidationError) as caught:
+            write(SyncSpec(("a", "b"), [record]))
+        assert str(caught.value) == f"malformed declaration {record!r}"
+    assert spec_to_text(SyncSpec(("a", "b"), [["a", "<", "b", 1]])) == "events a b\na < b\n"
+
+
+@pytest.mark.parametrize(
     "record,message",
     [
         (("a", "<", "zz", 1), "unknown event 'zz'"),

@@ -1,10 +1,10 @@
-"""The record types' contract and the package's lazily loaded oracle names.
+"""The record types' contract and the oracle's names in the package.
 
 ``SyncMatrix`` is a plain class whose constructor checks the invariants;
-``Bound``, ``Constraint``, ``SyncSpec``, ``ImpliedChange`` and
-``ClosureReport`` are named tuples.  All of them are immutable, compare
-and hash by value, keep the field-by-field repr, and survive pickling and
-deep copying.
+``Bound``, ``Constraint``, ``SyncSpec``, ``ImpliedChange``,
+``ClosureReport`` and ``PairSet`` are named tuples.  All of them are
+immutable, compare and hash by value, keep the field-by-field repr, and
+survive pickling and deep copying.
 """
 
 import copy
@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 import syncalg
-from syncalg import Bound, Rel, SyncMatrix, close, parse_spec, spec_to_matrix
+from syncalg import Bound, PairSet, Rel, SyncMatrix, close, pairs_of, parse_spec, spec_to_matrix
 
 
 def pair(labels=("a", "b")):
@@ -53,6 +53,7 @@ def test_reprs_keep_the_field_form():
         "SyncSpec(events=('a', 'b'), "
         "constraints=(Constraint(lhs='a', op='<', rhs='b', line=1),))"
     )
+    assert repr(pairs_of(Rel.LT, 2)) == "PairSet(domain_size=2, pairs=frozenset({(0, 1)}))"
 
 
 RECORDS = {
@@ -60,6 +61,7 @@ RECORDS = {
     "ClosureReport": close(spec_to_matrix(parse_spec("a > b\nb > c\nc > d\n"))),
     "SyncSpec": parse_spec("events a b c\na < b\nb != c\n"),
     "Bound": Bound(Rel.LT),
+    "PairSet": PairSet(3, frozenset({(0, 1), (2, 2)})),
 }
 
 
@@ -74,7 +76,15 @@ def test_records_survive_pickle_and_deepcopy(name):
     assert copy.copy(record) == record
 
 
-def test_oracle_names_load_on_first_use():
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_assignment(name):
+    record = RECORDS[name]
+    for field in getattr(record, "_fields", ("labels", "cells")) + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_oracle_names_are_package_names():
     assert syncalg.minimal_network is syncalg.oracle.minimal_network
     from syncalg import satisfies
 

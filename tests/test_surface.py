@@ -1,9 +1,9 @@
 """The package's public surface: each name listed once, in its own module.
 
 Every module the package re-exports declares ``__all__``; the package's
-``__all__`` is the oracle's names plus those lists, and a star import of a
-module binds exactly its ``__all__``.  Every module imports only the
-standard library.  A record is one class, and one builder sets a matrix's
+``__all__`` is those six lists, and a star import of a module binds
+exactly its ``__all__``.  Every module imports only the standard library,
+and at its top.  A record is one class, and one builder sets a matrix's
 fields.
 """
 
@@ -20,7 +20,7 @@ import syncalg
 
 SOURCES = sorted(pathlib.Path(syncalg.__file__).parent.glob("*.py"))
 
-MODULES = ("algebra", "closure", "errors", "format", "matrix")
+MODULES = ("algebra", "closure", "errors", "format", "matrix", "oracle")
 
 PUBLIC_NAMES = {
     "ALL_RELS", "ATOMS", "CANONICAL_SYMBOLS", "DEFAULT_ASSIGNMENT_CEILING",
@@ -45,9 +45,9 @@ def test_package_lists_each_public_name_once():
     assert set(syncalg.__all__) == PUBLIC_NAMES
 
 
-def test_package_surface_is_the_module_lists_plus_the_oracle():
+def test_package_surface_is_the_six_module_lists():
     listed = [name for m in MODULES for name in module(m).__all__]
-    assert sorted(listed + sorted(syncalg._ORACLE_NAMES)) == sorted(syncalg.__all__)
+    assert sorted(listed) == sorted(syncalg.__all__)
     for m in MODULES:
         for name in module(m).__all__:
             assert getattr(syncalg, name) is getattr(module(m), name)
@@ -82,6 +82,21 @@ def test_module_reads_every_name_it_imports(path):
                     imported.add(alias.asname or alias.name.split(".")[0])
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+def test_only_the_json_writers_import_inside_a_function():
+    # json is the one deferred import: loading it costs several times what
+    # the oracle does, and only interchange output needs it.
+    deferred = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Import):
+                        deferred.update((path.stem, alias.name) for alias in inner.names)
+                    elif isinstance(inner, ast.ImportFrom):
+                        deferred.add((path.stem, "." * inner.level + (inner.module or "")))
+    assert deferred == {("format", "json")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
