@@ -51,6 +51,11 @@ class PairSet(namedtuple("PairSet", "domain_size pairs")):
                 raise ValidationError(f"pair {(x, y)} outside domain 0..{domain_size - 1}")
         return super().__new__(cls, domain_size, pairs)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip the checks above.
+        return cls(*iterable)
+
     def _check_peer(self, other: "PairSet") -> None:
         if self.domain_size != other.domain_size:
             raise ValidationError("pair-set operands live over different domains")
@@ -74,14 +79,7 @@ class PairSet(namedtuple("PairSet", "domain_size pairs")):
     def compose(self, other: "PairSet") -> "PairSet":
         """Relational join: (x, z) admitted when some y links x to z."""
         self._check_peer(other)
-        by_left: dict[int, list[int]] = {}
-        for y, z in other.pairs:
-            by_left.setdefault(y, []).append(z)
-        joined = {
-            (x, z)
-            for x, y in self.pairs
-            for z in by_left.get(y, ())
-        }
+        joined = {(x, z) for x, y in self.pairs for w, z in other.pairs if y == w}
         return PairSet(self.domain_size, frozenset(joined))
 
     def atom_profile(self) -> Rel:
@@ -153,19 +151,16 @@ def minimal_network(
     found_any = False
     for times in itertools.product(range(d), repeat=n):
         atoms = []
-        ok = True
         for i, j, allowed in above:
             a, b = times[i], times[j]
             atom = 1 if a < b else (2 if a == b else 4)
             if not atom & allowed:
-                ok = False
                 break
             atoms.append(atom)
-        if not ok:
-            continue
-        found_any = True
-        for (i, j, _allowed), atom in zip(above, atoms):
-            realized[i][j] |= atom
+        else:
+            found_any = True
+            for (i, j, _allowed), atom in zip(above, atoms):
+                realized[i][j] |= atom
     for i, j, _allowed in above:
         v = realized[i][j]
         realized[j][i] = (v & 2) | ((v & 1) << 2) | ((v & 4) >> 2)

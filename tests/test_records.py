@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 import syncalg
-from syncalg import Bound, PairSet, Rel, SyncMatrix, close, pairs_of, parse_spec, spec_to_matrix
+from syncalg import Bound, PairSet, Rel, SyncMatrix, ValidationError, close, pairs_of, parse_spec, spec_to_matrix
 
 
 def pair(labels=("a", "b")):
@@ -82,6 +82,18 @@ def test_records_refuse_assignment(name):
     for field in getattr(record, "_fields", ("labels", "cells")) + ("extra",):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+def test_pair_set_make_and_replace_check_like_the_constructor():
+    with pytest.raises(ValidationError):
+        pairs_of(Rel.LT, 2)._replace(domain_size=1)
+    with pytest.raises(ValidationError):
+        PairSet._make((1, frozenset({(5, 5)})))
+    with pytest.raises(ValidationError):
+        PairSet._make((3, frozenset({(0, 3)})))
+    emptied = pairs_of(Rel.LT, 2)._replace(pairs=frozenset())
+    assert type(emptied) is PairSet and emptied == PairSet(2, frozenset())
+    assert type(PairSet._make([2, frozenset({(0, 1)})])) is PairSet
 
 
 def test_oracle_names_are_package_names():
